@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 namespace smartflux {
 
@@ -63,19 +64,32 @@ struct Crc32cTable {
   }
 };
 inline constexpr Crc32cTable kCrc32cTable{};
+
+/// The portable table-driven CRC32C (usable in constant evaluation).
+constexpr std::uint32_t crc32c_table(const char* data, std::size_t n,
+                                     std::uint32_t seed) noexcept {
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c = kCrc32cTable.entry[(c ^ static_cast<unsigned char>(data[i])) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
+
+/// Run-time CRC32C: the CPU's crc32 instruction (x86-64 SSE4.2) when there
+/// is one, crc32c_table otherwise. Same inputs, same result.
+std::uint32_t crc32c_runtime(const char* data, std::size_t n, std::uint32_t seed) noexcept;
 }  // namespace detail
 
 /// CRC32C (Castagnoli polynomial, the checksum HBase/LevelDB/etc. frame WAL
-/// records with). Software table-driven implementation — portable, no SSE4.2
-/// requirement. Chainable: pass a previous result as `seed` to checksum data
-/// split across buffers.
+/// records with). At run time it uses the CPU's crc32 instruction when there
+/// is one — an order of magnitude faster than the table, which matters
+/// because every WAL byte is checksummed on the write path; the portable
+/// table otherwise. Chainable: pass a previous result as `seed` to checksum
+/// data split across buffers.
 constexpr std::uint32_t crc32c(const char* data, std::size_t n,
                                std::uint32_t seed = 0) noexcept {
-  std::uint32_t c = seed ^ 0xffffffffu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = detail::kCrc32cTable.entry[(c ^ static_cast<unsigned char>(data[i])) & 0xffu] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
+  if (std::is_constant_evaluated()) return detail::crc32c_table(data, n, seed);
+  return detail::crc32c_runtime(data, n, seed);
 }
 
 inline std::uint32_t crc32c(const void* data, std::size_t n, std::uint32_t seed = 0) noexcept {

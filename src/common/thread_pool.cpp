@@ -129,4 +129,14 @@ void ThreadPool::run_all(std::vector<std::function<void()>> tasks) {
   }
 }
 
+ThreadPool& helper_pool() {
+  // Leaked on purpose: a static pool would be joined during exit while
+  // other statics (a global store, a logger sink) may still fan out on it.
+  static ThreadPool* const pool = [] {
+    const unsigned hardware = std::thread::hardware_concurrency();
+    return new ThreadPool(hardware > 1 ? hardware - 1 : 1);
+  }();
+  return *pool;
+}
+
 }  // namespace smartflux

@@ -53,4 +53,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// The process-wide helper pool: hardware threads - 1 workers (at least
+/// one), created on first use and never destroyed, so it outlives every
+/// static that may still call into it at exit. Its callers fan short,
+/// non-blocking work out with the caller-participating run_all (the sharded
+/// store's per-shard sub-batch apply and WAL-family fsyncs), so using it
+/// from inside another pool's task cannot deadlock. Shared rather than one
+/// pool per user: the helpers stay few however many stores a process opens.
+ThreadPool& helper_pool();
+
 }  // namespace smartflux

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <shared_mutex>
+#include <utility>
 
 #include "common/error.h"
 #include "common/lock_rank.h"
@@ -56,6 +57,7 @@ struct DataStore::Durability {
   // Metric handles (null = no registry attached). Wired from
   // set_instrumentation's registry, falling back to options.metrics.
   obs::Counter* wave_commits = nullptr;
+  obs::Histogram* wave_commit_duration = nullptr;
   obs::Counter* checkpoints = nullptr;
   obs::Histogram* checkpoint_duration = nullptr;
   bool metrics_wired = false;
@@ -135,6 +137,12 @@ struct DataStore::Durability {
     }
     wave_commits =
         &reg.counter("sf_ds_wave_commits_total", {}, "Wave-commit records stamped");
+    // The whole barrier (family locks, commit records, fsyncs, stamp): with
+    // the families syncing concurrently, the fsync histogram no longer sums
+    // to the commit time.
+    wave_commit_duration =
+        &reg.histogram("sf_ds_wave_commit_duration_seconds", obs::duration_buckets(), {},
+                       "commit_wave barrier duration");
     checkpoints = &reg.counter("sf_ds_checkpoints_total", {}, "Checkpoints written");
     checkpoint_duration =
         &reg.histogram("sf_ds_checkpoint_duration_seconds", obs::duration_buckets(), {},
@@ -148,6 +156,7 @@ struct DataStore::Durability {
       if (family->writer) family->writer->set_obs(nullptr);
     }
     wave_commits = nullptr;
+    wave_commit_duration = nullptr;
     checkpoints = nullptr;
     checkpoint_duration = nullptr;
     metrics_wired = false;
@@ -253,7 +262,7 @@ std::uint64_t next_registry_gen() noexcept {
 DataStore::DataStore(std::size_t max_versions, ShardOptions shard_options)
     : max_versions_(max_versions), shard_options_(shard_options), ring_(shard_options) {
   SF_CHECK(max_versions >= 1, "DataStore must retain at least one version");
-  tables_.store(std::make_shared<const TableMap>(), std::memory_order_release);
+  publish_tables(std::make_shared<const TableMap>());
   registry_gen_.store(next_registry_gen(), std::memory_order_release);
   observers_.store(std::make_shared<const ObserverList>(), std::memory_order_release);
 }
@@ -272,11 +281,22 @@ void DataStore::set_instrumentation(obs::MetricsRegistry* registry, obs::Tracer*
   if (durability_) durability_->wire_metrics(*registry);
 }
 
+std::shared_ptr<const DataStore::TableMap> DataStore::tables_snapshot() const {
+  std::lock_guard lock(tables_mutex_);
+  return tables_;
+}
+
+void DataStore::publish_tables(std::shared_ptr<const TableMap> next) {
+  std::shared_ptr<const TableMap> old;  // a dropped table is freed outside the lock
+  std::lock_guard lock(tables_mutex_);
+  old = std::exchange(tables_, std::move(next));
+}
+
 std::shared_ptr<DataStore::TableEntry> DataStore::find_entry(const TableName& table) const {
   // Per-thread registry cache: while the registry is unchanged (by far the
   // common case — tables are created once and live forever), a point op pays
-  // one lock-free uint64 load instead of the refcounted atomic-shared_ptr
-  // load. The gen is read *before* the map, so a cached map can never be
+  // one lock-free uint64 load instead of the locked, refcounted snapshot
+  // copy. The gen is read *before* the map, so a cached map can never be
   // older than the gen it is stamped with; a concurrent registry change just
   // invalidates the entry on the next op. The cached shared_ptr keeps the map
   // snapshot alive until this thread touches another store or generation,
@@ -289,7 +309,7 @@ std::shared_ptr<DataStore::TableEntry> DataStore::find_entry(const TableName& ta
   static thread_local Cache cache;
   const auto gen = registry_gen_.load(std::memory_order_acquire);
   if (cache.store != this || cache.gen != gen) {
-    cache.map = tables_.load(std::memory_order_acquire);
+    cache.map = tables_snapshot();
     cache.store = this;
     cache.gen = gen;
   }
@@ -303,7 +323,7 @@ std::shared_ptr<DataStore::TableEntry> DataStore::entry_for(const TableName& tab
   std::lock_guard lock(registry_mutex_);
   // Re-check under the writer lock: another thread may have created it
   // between our lock-free lookup and here.
-  auto snap = tables_.load(std::memory_order_acquire);
+  auto snap = tables_snapshot();
   if (const auto it = snap->find(table); it != snap->end()) return it->second;
   auto next = std::make_shared<TableMap>(*snap);
   auto entry = std::make_shared<TableEntry>(max_versions_, shards());
@@ -316,7 +336,7 @@ std::shared_ptr<DataStore::TableEntry> DataStore::entry_for(const TableName& tab
       writer.append_create_table(table, lsn);
     });
   }
-  tables_.store(std::shared_ptr<const TableMap>(std::move(next)), std::memory_order_release);
+  publish_tables(std::shared_ptr<const TableMap>(std::move(next)));
   registry_gen_.store(next_registry_gen(), std::memory_order_release);
   return entry;
 }
@@ -412,41 +432,58 @@ void DataStore::put_batch(const TableName& table, Timestamp ts, std::span<const 
       family.writer->append_batch(table, ts, ops);
     }
   } else {
-    // Split by shard (stable: original order within each sub-batch, so the
-    // same-cell-twice-in-one-batch case keeps its order — equal rows always
-    // share a shard). Each sub-batch applies under its own slot lock and
-    // logs ONE record to its own WAL family.
-    std::vector<std::vector<std::uint32_t>> by_shard(shards());
+    // Split by shard with a stable counting sort, on the calling thread:
+    // original order within each sub-batch, so the same-cell-twice-in-one-
+    // batch case keeps its order (equal rows always share a shard). Each
+    // sub-batch applies under its own slot lock and logs ONE record to its
+    // own WAL family; whoever applies it only reads these arrays, so the
+    // helpers allocate nothing.
+    const std::size_t n_shards = shards();
+    std::vector<std::uint32_t> route(ops.size());
+    std::vector<std::size_t> begin(n_shards + 1, 0);
     for (std::size_t i = 0; i < ops.size(); ++i) {
-      by_shard[ring_.shard_of(ops[i].row)].push_back(static_cast<std::uint32_t>(i));
+      route[i] = static_cast<std::uint32_t>(ring_.shard_of(ops[i].row));
+      ++begin[route[i] + 1];
+    }
+    for (std::size_t shard = 0; shard < n_shards; ++shard) begin[shard + 1] += begin[shard];
+    std::vector<PutOp> sorted(ops.size());
+    std::vector<std::uint32_t> origin(ops.size());  // sorted position -> op index
+    {
+      std::vector<std::size_t> next(begin.begin(), begin.end() - 1);
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        const std::size_t at = next[route[i]]++;
+        sorted[at] = ops[i];
+        origin[at] = static_cast<std::uint32_t>(i);
+      }
     }
     std::vector<std::size_t> hit;  // shards with a non-empty sub-batch
-    for (std::size_t shard = 0; shard < by_shard.size(); ++shard) {
-      if (!by_shard[shard].empty()) hit.push_back(shard);
+    for (std::size_t shard = 0; shard < n_shards; ++shard) {
+      if (begin[shard + 1] > begin[shard]) hit.push_back(shard);
     }
     if (obs_ && !obs_->shard_ops.empty()) {
-      for (const std::size_t shard : hit) obs_->shard_ops[shard]->inc(by_shard[shard].size());
+      for (const std::size_t shard : hit) {
+        obs_->shard_ops[shard]->inc(begin[shard + 1] - begin[shard]);
+      }
     }
     auto* previous_out = want_mutations ? &previous : nullptr;
-    ThreadPool* pool = shard_options_.batch_pool;
-    if (pool != nullptr && hit.size() > 1 &&
-        ops.size() >= shard_options_.parallel_batch_min_ops) {
+    const auto apply = [&](std::size_t shard) {
+      const std::size_t first = begin[shard];
+      const std::size_t count = begin[shard + 1] - first;
+      apply_shard_batch(table, *entry, shard, ts,
+                        std::span<const PutOp>(sorted).subspan(first, count),
+                        std::span<const std::uint32_t>(origin).subspan(first, count), previous_out);
+    };
+    if (hit.size() > 1 && ops.size() >= shard_options_.parallel_batch_min_ops) {
       std::vector<std::function<void()>> tasks;
       tasks.reserve(hit.size());
-      for (const std::size_t shard : hit) {
-        tasks.push_back([this, &table, entry, shard, ts, ops, &by_shard, previous_out] {
-          apply_shard_batch(table, *entry, shard, ts, ops, by_shard[shard], previous_out);
-        });
-      }
+      for (const std::size_t shard : hit) tasks.push_back([&apply, shard] { apply(shard); });
       // Caller-participating run_all: safe even when the calling step itself
-      // runs on this same pool. Rethrows the first failure in shard order;
-      // other shards' sub-batches still complete (each one applied + logged
+      // runs on a pool. Rethrows the first failure in shard order; other
+      // shards' sub-batches still complete (each one applied + logged
       // atomically, so WAL and memory stay in agreement).
-      pool->run_all(std::move(tasks));
+      helper_pool().run_all(std::move(tasks));
     } else {
-      for (const std::size_t shard : hit) {
-        apply_shard_batch(table, *entry, shard, ts, ops, by_shard[shard], previous_out);
-      }
+      for (const std::size_t shard : hit) apply(shard);
     }
   }
 
@@ -468,16 +505,11 @@ void DataStore::put_batch(const TableName& table, Timestamp ts, std::span<const 
 }
 
 void DataStore::apply_shard_batch(const TableName& table, TableEntry& entry, std::size_t shard,
-                                  Timestamp ts, std::span<const PutOp> ops,
-                                  const std::vector<std::uint32_t>& indices,
+                                  Timestamp ts, std::span<const PutOp> sub,
+                                  std::span<const std::uint32_t> origin,
                                   std::vector<std::pair<double, bool>>* previous) {
-  // Materialize the sub-batch once: it is both the apply order and the ONE
-  // WAL record for this shard, so replaying the family reproduces exactly
-  // what this slot applied.
-  std::vector<PutOp> sub;
-  sub.reserve(indices.size());
-  for (const std::uint32_t i : indices) sub.push_back(ops[i]);
-
+  // `sub` is both the apply order and the ONE WAL record for this shard, so
+  // replaying the family reproduces exactly what this slot applied.
   Slot& slot = *entry.slots[shard];
   LockRankScope table_rank(kLockRankTable);
   std::unique_lock lock(slot.mutex);
@@ -487,7 +519,7 @@ void DataStore::apply_shard_batch(const TableName& table, TableEntry& entry, std
       const auto prev = slot.table.put(sub[j].row, sub[j].column, ts, sub[j].value);
       ++applied;
       if (previous != nullptr) {
-        (*previous)[indices[j]] = {prev.value_or(0.0), prev.has_value()};
+        (*previous)[origin[j]] = {prev.value_or(0.0), prev.has_value()};
       }
     }
   } catch (...) {
@@ -497,7 +529,7 @@ void DataStore::apply_shard_batch(const TableName& table, TableEntry& entry, std
       auto& family = *durability_->families[shard];
       LockRankScope wal_rank(kLockRankWal);
       std::lock_guard wal_lock(family.mutex);
-      family.writer->append_batch(table, ts, std::span<const PutOp>(sub).first(applied));
+      family.writer->append_batch(table, ts, sub.first(applied));
     }
     throw;
   }
@@ -787,7 +819,7 @@ std::size_t DataStore::container_cell_count(const ContainerRef& container) const
 bool DataStore::has_table(const TableName& table) const { return find_entry(table) != nullptr; }
 
 std::vector<TableName> DataStore::table_names() const {
-  const auto snap = tables_.load(std::memory_order_acquire);
+  const auto snap = tables_snapshot();
   std::vector<TableName> out;
   out.reserve(snap->size());
   for (const auto& [name, _] : *snap) out.push_back(name);
@@ -797,7 +829,7 @@ std::vector<TableName> DataStore::table_names() const {
 void DataStore::drop_table(const TableName& table) {
   LockRankScope rank(kLockRankRegistry);
   std::lock_guard lock(registry_mutex_);
-  const auto snap = tables_.load(std::memory_order_acquire);
+  const auto snap = tables_snapshot();
   if (!snap->contains(table)) return;
   auto next = std::make_shared<TableMap>(*snap);
   next->erase(table);
@@ -806,7 +838,7 @@ void DataStore::drop_table(const TableName& table) {
       writer.append_drop_table(table, lsn);
     });
   }
-  tables_.store(std::shared_ptr<const TableMap>(std::move(next)), std::memory_order_release);
+  publish_tables(std::shared_ptr<const TableMap>(std::move(next)));
   registry_gen_.store(next_registry_gen(), std::memory_order_release);
 }
 
@@ -818,7 +850,7 @@ void DataStore::clear() {
       writer.append_clear(lsn);
     });
   }
-  tables_.store(std::make_shared<const TableMap>(), std::memory_order_release);
+  publish_tables(std::make_shared<const TableMap>());
   registry_gen_.store(next_registry_gen(), std::memory_order_release);
 }
 
@@ -892,7 +924,7 @@ void remove_superseded(const std::string& dir, std::uint64_t cut) {
 
 void DataStore::enable_durability(const std::string& dir, DurabilityOptions options) {
   SF_CHECK(durability_ == nullptr, "durability is already enabled on this store");
-  SF_CHECK(tables_.load(std::memory_order_acquire)->empty(),
+  SF_CHECK(tables_snapshot()->empty(),
            "enable_durability requires an empty store; attach to an existing data dir "
            "with DataStore::recover");
   std::filesystem::create_directories(dir);
@@ -1133,6 +1165,7 @@ void DataStore::commit_wave(Timestamp wave) {
     maybe_relieve_memory();
     return;
   }
+  const auto t0 = std::chrono::steady_clock::now();
   bool checkpoint_due = false;
   {
     LockRankScope wal_rank(kLockRankWal);
@@ -1154,12 +1187,24 @@ void DataStore::commit_wave(Timestamp wave) {
       for (auto& family : durability_->families) {
         family->writer->append_wave_commit(wave, lsn, /*sync_now=*/false);
       }
-      for (auto& family : durability_->families) family->writer->sync();
+      // The families' fsyncs overlap on the helper pool. This thread still
+      // holds every family mutex, so nothing else touches a writer while a
+      // helper syncs it; run_all rethrows the first failure (family order)
+      // only after every sync has finished, and the stamp below is skipped.
+      std::vector<std::function<void()>> syncs;
+      syncs.reserve(durability_->families.size());
+      for (auto& family : durability_->families) {
+        syncs.push_back([writer = family->writer.get()] { writer->sync(); });
+      }
+      helper_pool().run_all(std::move(syncs));
     }
     LockRankScope meta_rank(kLockRankDurabilityMeta);
     std::lock_guard meta(durability_->meta_mutex);
     durability_->committed_wave = wave;
-    if (durability_->wave_commits != nullptr) durability_->wave_commits->inc();
+    if (durability_->wave_commits != nullptr) {
+      durability_->wave_commits->inc();
+      durability_->wave_commit_duration->observe(StoreObs::seconds_since(t0));
+    }
     if (durability_->options.checkpoint_every_waves > 0 &&
         ++durability_->waves_since_checkpoint >= durability_->options.checkpoint_every_waves) {
       checkpoint_due = true;
@@ -1197,7 +1242,7 @@ void DataStore::set_memory_options(MemoryOptions options) {
 }
 
 std::size_t DataStore::approx_memory_bytes() const {
-  const auto snap = tables_.load(std::memory_order_acquire);
+  const auto snap = tables_snapshot();
   std::size_t total = 0;
   LockRankScope table_rank(kLockRankTable);
   for (const auto& [name, entry] : *snap) {
@@ -1210,7 +1255,7 @@ std::size_t DataStore::approx_memory_bytes() const {
 }
 
 std::size_t DataStore::trim_superseded(std::size_t keep_versions) {
-  const auto snap = tables_.load(std::memory_order_acquire);
+  const auto snap = tables_snapshot();
   std::size_t dropped = 0;
   LockRankScope table_rank(kLockRankTable);
   for (const auto& [name, entry] : *snap) {
@@ -1281,7 +1326,7 @@ void DataStore::checkpoint() {
     // exactly the effects of segments <= cut, across every family.
     LockRankScope registry_rank(kLockRankRegistry);
     std::lock_guard registry_lock(registry_mutex_);
-    const auto snap = tables_.load(std::memory_order_acquire);
+    const auto snap = tables_snapshot();
     LockRankScope table_rank(kLockRankTable);
     std::vector<std::shared_lock<std::shared_mutex>> table_locks;
     for (const auto& [name, entry] : *snap) {

@@ -78,9 +78,11 @@ struct MemoryStats {
 ///    excludes. With durability on, each shard also owns its own WAL segment
 ///    family, so concurrent writers to different shards never contend on one
 ///    log mutex and fsyncs amortize per shard.
-///  - The table registry is RCU-style (an atomically swapped immutable map
-///    snapshot), so point ops never touch a registry mutex; only table
-///    creation/drop serializes on one.
+///  - The table registry is RCU-style (an immutable map snapshot, swapped
+///    under a leaf mutex), and point ops read it through a per-thread cache
+///    validated by one atomic load, so they never touch a registry mutex
+///    while the registry is unchanged; only table creation/drop serializes
+///    on one.
 ///  - The observer list is copy-on-write: writers grab an immutable
 ///    snapshot of it per op (or once per batch) with a single atomic load.
 ///  - Lock order (asserted in debug builds, see common/lock_rank.h):
@@ -292,16 +294,21 @@ class DataStore {
   struct StoreObs;     ///< pre-resolved metric handles (datastore.cpp)
   struct Durability;   ///< WAL writer + checkpoint bookkeeping (datastore.cpp)
 
-  /// Existing entry or nullptr, via one atomic registry-snapshot load.
+  /// The current registry snapshot / publishes a new one (create, drop and
+  /// clear publish under registry_mutex_).
+  std::shared_ptr<const TableMap> tables_snapshot() const;
+  void publish_tables(std::shared_ptr<const TableMap> next);
+  /// Existing entry or nullptr, via the per-thread registry cache.
   std::shared_ptr<TableEntry> find_entry(const TableName& table) const;
   /// Existing entry, or creates one (copy-on-write registry swap), logging a
   /// create-table record (broadcast to every WAL family) when durable.
   std::shared_ptr<TableEntry> entry_for(const TableName& table);
-  /// Applies one sub-batch (the ops of `indices`) to its shard slot and WAL
-  /// family, recording previous values at the ops' original positions.
+  /// Applies one shard's sub-batch to its slot and WAL family, recording
+  /// previous values at the ops' original batch positions (`origin[j]` is
+  /// the batch index of `sub[j]`).
   void apply_shard_batch(const TableName& table, TableEntry& entry, std::size_t shard,
-                         Timestamp ts, std::span<const PutOp> ops,
-                         const std::vector<std::uint32_t>& indices,
+                         Timestamp ts, std::span<const PutOp> sub,
+                         std::span<const std::uint32_t> origin,
                          std::vector<std::pair<double, bool>>* previous);
   /// Merged as-of scan across every slot of a table (shards > 1 path):
   /// locks all slots shared, gathers matches, restores (row, column) order.
@@ -332,11 +339,16 @@ class DataStore {
   std::unique_ptr<Durability> durability_;
 
   mutable std::mutex registry_mutex_;  ///< serializes table create/drop/clear only
-  std::atomic<std::shared_ptr<const TableMap>> tables_;
+  /// Leaf lock held only to copy or swap `tables_` (an immutable snapshot).
+  /// A plain mutex rather than std::atomic<std::shared_ptr>: GCC 12's
+  /// libstdc++ implements that with an internal lock ThreadSanitizer cannot
+  /// see, so every concurrent table creation reported a race.
+  mutable std::mutex tables_mutex_;
+  std::shared_ptr<const TableMap> tables_;  ///< guarded by tables_mutex_
   /// Globally unique stamp of the current `tables_` snapshot (bumped on every
   /// create/drop/clear). Point ops validate a per-thread registry cache
-  /// against it with one lock-free load, skipping the refcounted
-  /// atomic-shared_ptr load while the registry is unchanged (find_entry).
+  /// against it with one lock-free load, skipping the locked snapshot copy
+  /// while the registry is unchanged (find_entry).
   std::atomic<std::uint64_t> registry_gen_;
 
   MemoryOptions memory_options_;

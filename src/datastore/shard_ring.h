@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -8,10 +9,6 @@
 
 #include "common/error.h"
 #include "common/hashing.h"
-
-namespace smartflux {
-class ThreadPool;
-}
 
 namespace smartflux::ds {
 
@@ -32,12 +29,10 @@ struct ShardOptions {
   /// seed — recovery re-routes every replayed row anyway, so this only
   /// matters for cross-store comparisons of per-shard state.
   std::uint64_t ring_seed = 0x736d6172746678ULL;  // "smartfx"
-  /// Optional pool (not owned) on which put_batch applies its per-shard
-  /// sub-batches concurrently. Null = sub-batches apply on the calling
-  /// thread, still under per-shard locks (concurrent *callers* scale).
-  ThreadPool* batch_pool = nullptr;
-  /// Batches smaller than this apply serially even when a pool is set — the
-  /// split bookkeeping must be amortized over enough cells to beat one lock.
+  /// Batches of at least this many ops apply their per-shard sub-batches
+  /// concurrently on the process-wide helper_pool(); smaller ones apply them
+  /// one after another on the calling thread — the fan-out must be
+  /// amortized over enough cells to beat waking a helper.
   std::size_t parallel_batch_min_ops = 256;
 };
 
@@ -72,20 +67,31 @@ class ShardRing {
       // options even in the astronomically unlikely collision case.
       return a.hash != b.hash ? a.hash < b.hash : a.owner < b.owner;
     });
+    // About four buckets per point, so a bucket rarely holds more than one.
+    const int bits = std::min(16, static_cast<int>(std::bit_width(points_.size())) + 2);
+    shift_ = 64 - bits;
+    first_.resize(std::size_t{1} << bits);
+    std::uint32_t p = 0;
+    for (std::size_t b = 0; b < first_.size(); ++b) {
+      const std::uint64_t start = static_cast<std::uint64_t>(b) << shift_;
+      while (p < points_.size() && points_[p].hash < start) ++p;
+      first_[b] = p;
+    }
   }
 
   std::size_t shards() const noexcept { return shards_; }
 
-  /// Shard owning `row`. O(log vnodes) binary search; shards()==1 short-
-  /// circuits to 0 without hashing.
+  /// Shard owning `row`: the owner of the first point at or after the
+  /// row's hash, wrapping past the top. The bucket of the hash's top bits
+  /// gives the first candidate point, so the lookup is O(1) expected and
+  /// sits on every write's path (a put_batch routes each of its ops).
+  /// shards()==1 short-circuits to 0 without hashing.
   std::size_t shard_of(std::string_view row) const noexcept {
     if (shards_ == 1) return 0;
     const std::uint64_t h = hash64_bytes(row, seed_);
-    // First point at or after h, wrapping to the first point past the top.
-    auto it = std::lower_bound(points_.begin(), points_.end(), h,
-                               [](const Point& p, std::uint64_t key) { return p.hash < key; });
-    if (it == points_.end()) it = points_.begin();
-    return it->owner;
+    std::size_t i = first_[h >> shift_];
+    while (i < points_.size() && points_[i].hash < h) ++i;
+    return points_[i == points_.size() ? 0 : i].owner;
   }
 
  private:
@@ -97,6 +103,9 @@ class ShardRing {
   std::size_t shards_;
   std::uint64_t seed_;
   std::vector<Point> points_;  ///< empty when shards_ == 1
+  /// first_[b]: index of the first point whose hash is >= b << shift_.
+  std::vector<std::uint32_t> first_;
+  int shift_ = 64;
 };
 
 }  // namespace smartflux::ds

@@ -18,6 +18,9 @@ namespace {
 /// kEveryWave (bounds memory, keeps the file current for external readers).
 constexpr std::size_t kPendingFlushBytes = 1u << 20;
 
+/// [u32 payload_len][u32 crc32c] in front of every payload.
+constexpr std::size_t kFrameHeaderBytes = 8;
+
 void put_u8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
 
 void put_u32(std::string& out, std::uint32_t v) {
@@ -194,9 +197,18 @@ std::uint64_t WalWriter::next_lsn() noexcept {
                                 : record_seq_;
 }
 
-void WalWriter::append(std::string_view payload, int sync_class, std::uint64_t lsn) {
+std::size_t WalWriter::begin_record() {
   check_usable();
-  SF_CHECK(payload.size() <= kWalMaxPayloadBytes, "WAL record payload too large");
+  const std::size_t start = pending_.size();
+  pending_.append(kFrameHeaderBytes, '\0');  // patched by end_record
+  return start;
+}
+
+void WalWriter::end_record(std::size_t start, int sync_class, std::uint64_t lsn) {
+  const std::size_t frame_size = pending_.size() - start;
+  const std::size_t payload_size = frame_size - kFrameHeaderBytes;
+  if (payload_size > kWalMaxPayloadBytes) pending_.resize(start);
+  SF_CHECK(payload_size <= kWalMaxPayloadBytes, "WAL record payload too large");
   const std::uint64_t seq = lsn;
 
   DiskWriteFault fault = DiskWriteFault::kNone;
@@ -209,37 +221,33 @@ void WalWriter::append(std::string_view payload, int sync_class, std::uint64_t l
     throw InjectedFault("injected crash before WAL record " + std::to_string(seq));
   }
 
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32c(payload.data(), payload.size()));
-  frame.append(payload);
+  char* frame = pending_.data() + start;
+  const auto len = static_cast<std::uint32_t>(payload_size);
+  const std::uint32_t crc = crc32c(frame + kFrameHeaderBytes, payload_size);
+  std::memcpy(frame, &len, 4);
+  std::memcpy(frame + 4, &crc, 4);
 
   if (fault == DiskWriteFault::kTornWrite || fault == DiskWriteFault::kShortWrite) {
     broken_ = true;
     // Earlier buffered-but-unsynced records reach the OS here: a torn write
     // tears only the record being appended, not its predecessors.
-    if (!pending_.empty()) {
-      file_.write_all(pending_.data(), pending_.size());
-      pending_.clear();
-    }
-    const std::size_t keep =
-        fault == DiskWriteFault::kShortWrite
-            ? frame.size() - 1
-            : injector_->torn_write_bytes(fault_tag_, seq, frame.size());
-    file_.write_all(frame.data(), keep);
+    if (start > 0) file_.write_all(pending_.data(), start);
+    const std::size_t keep = fault == DiskWriteFault::kShortWrite
+                                 ? frame_size - 1
+                                 : injector_->torn_write_bytes(fault_tag_, seq, frame_size);
+    file_.write_all(pending_.data() + start, keep);
+    pending_.clear();
     throw InjectedFault("injected torn write at WAL record " + std::to_string(seq));
   }
 
   ++record_seq_;
-  bytes_appended_ += frame.size();
+  bytes_appended_ += frame_size;
   if (obs_ != nullptr && obs_->records != nullptr) {
     obs_->records->inc();
-    obs_->bytes->inc(frame.size());
-    if (obs_->shard_bytes != nullptr) obs_->shard_bytes->inc(frame.size());
+    obs_->bytes->inc(frame_size);
+    if (obs_->shard_bytes != nullptr) obs_->shard_bytes->inc(frame_size);
   }
 
-  pending_.append(frame);
   const bool policy_sync =
       sync_class == 2 ||
       (sync_class == 1 && policy_ != WalFlushPolicy::kEveryWave) ||
@@ -295,80 +303,80 @@ void WalWriter::sync() {
 void WalWriter::append_put(std::string_view table, std::string_view row,
                            std::string_view column, Timestamp ts, double value) {
   const std::uint64_t lsn = next_lsn();
-  scratch_.clear();
-  put_u8(scratch_, static_cast<std::uint8_t>(WalRecordKind::kPut));
-  put_u64(scratch_, lsn);
-  put_str(scratch_, table);
-  put_str(scratch_, row);
-  put_str(scratch_, column);
-  put_u64(scratch_, ts);
-  put_f64(scratch_, value);
-  append(scratch_, 0, lsn);
+  const std::size_t start = begin_record();
+  put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kPut));
+  put_u64(pending_, lsn);
+  put_str(pending_, table);
+  put_str(pending_, row);
+  put_str(pending_, column);
+  put_u64(pending_, ts);
+  put_f64(pending_, value);
+  end_record(start, 0, lsn);
 }
 
 void WalWriter::append_batch(std::string_view table, Timestamp ts, std::span<const PutOp> ops) {
   const std::uint64_t lsn = next_lsn();
-  scratch_.clear();
-  put_u8(scratch_, static_cast<std::uint8_t>(WalRecordKind::kPutBatch));
-  put_u64(scratch_, lsn);
-  put_str(scratch_, table);
-  put_u64(scratch_, ts);
-  put_u32(scratch_, static_cast<std::uint32_t>(ops.size()));
+  const std::size_t start = begin_record();
+  put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kPutBatch));
+  put_u64(pending_, lsn);
+  put_str(pending_, table);
+  put_u64(pending_, ts);
+  put_u32(pending_, static_cast<std::uint32_t>(ops.size()));
   for (const PutOp& op : ops) {
-    put_str(scratch_, op.row);
-    put_str(scratch_, op.column);
-    put_f64(scratch_, op.value);
+    put_str(pending_, op.row);
+    put_str(pending_, op.column);
+    put_f64(pending_, op.value);
   }
-  append(scratch_, 1, lsn);
+  end_record(start, 1, lsn);
 }
 
 void WalWriter::append_erase(std::string_view table, std::string_view row,
                              std::string_view column, Timestamp ts) {
   const std::uint64_t lsn = next_lsn();
-  scratch_.clear();
-  put_u8(scratch_, static_cast<std::uint8_t>(WalRecordKind::kErase));
-  put_u64(scratch_, lsn);
-  put_str(scratch_, table);
-  put_str(scratch_, row);
-  put_str(scratch_, column);
-  put_u64(scratch_, ts);
-  append(scratch_, 0, lsn);
+  const std::size_t start = begin_record();
+  put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kErase));
+  put_u64(pending_, lsn);
+  put_str(pending_, table);
+  put_str(pending_, row);
+  put_str(pending_, column);
+  put_u64(pending_, ts);
+  end_record(start, 0, lsn);
 }
 
 void WalWriter::append_create_table(std::string_view table, std::optional<std::uint64_t> lsn) {
   const std::uint64_t seq = lsn ? *lsn : next_lsn();
-  scratch_.clear();
-  put_u8(scratch_, static_cast<std::uint8_t>(WalRecordKind::kCreateTable));
-  put_u64(scratch_, seq);
-  put_str(scratch_, table);
-  append(scratch_, 1, seq);
+  const std::size_t start = begin_record();
+  put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kCreateTable));
+  put_u64(pending_, seq);
+  put_str(pending_, table);
+  end_record(start, 1, seq);
 }
 
 void WalWriter::append_drop_table(std::string_view table, std::optional<std::uint64_t> lsn) {
   const std::uint64_t seq = lsn ? *lsn : next_lsn();
-  scratch_.clear();
-  put_u8(scratch_, static_cast<std::uint8_t>(WalRecordKind::kDropTable));
-  put_u64(scratch_, seq);
-  put_str(scratch_, table);
-  append(scratch_, 1, seq);
+  const std::size_t start = begin_record();
+  put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kDropTable));
+  put_u64(pending_, seq);
+  put_str(pending_, table);
+  end_record(start, 1, seq);
 }
 
 void WalWriter::append_clear(std::optional<std::uint64_t> lsn) {
   const std::uint64_t seq = lsn ? *lsn : next_lsn();
-  scratch_.clear();
-  put_u8(scratch_, static_cast<std::uint8_t>(WalRecordKind::kClear));
-  put_u64(scratch_, seq);
-  append(scratch_, 1, seq);
+  const std::size_t start = begin_record();
+  put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kClear));
+  put_u64(pending_, seq);
+  end_record(start, 1, seq);
 }
 
 void WalWriter::append_wave_commit(Timestamp wave, std::optional<std::uint64_t> lsn,
                                    bool sync_now) {
   const std::uint64_t seq = lsn ? *lsn : next_lsn();
-  scratch_.clear();
-  put_u8(scratch_, static_cast<std::uint8_t>(WalRecordKind::kWaveCommit));
-  put_u64(scratch_, seq);
-  put_u64(scratch_, wave);
-  append(scratch_, sync_now ? 2 : 3, seq);
+  const std::size_t start = begin_record();
+  put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kWaveCommit));
+  put_u64(pending_, seq);
+  put_u64(pending_, wave);
+  end_record(start, sync_now ? 2 : 3, seq);
 }
 
 // ---------------------------------------------------------------------------

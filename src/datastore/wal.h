@@ -168,11 +168,15 @@ class WalWriter {
   void set_obs(const WalObs* obs) noexcept { obs_ = obs; }
 
  private:
-  /// Frames `payload`, applies the fault schedule (keyed by `lsn`), writes,
-  /// and applies the flush policy. `sync_class`: 0 = ride along, 1 = policy
+  /// Records are encoded in place: begin_record() checks the writer is
+  /// usable, reserves the frame header at the end of pending_ and returns
+  /// the record's offset; the caller appends the payload to pending_; then
+  /// end_record() fills in the header, applies the fault schedule (keyed by
+  /// `lsn`) and the flush policy. `sync_class`: 0 = ride along, 1 = policy
   /// batch boundary, 2 = forced sync (wave commit), 3 = forced flush without
   /// sync (phase 1 of a sharded two-phase commit).
-  void append(std::string_view payload, int sync_class, std::uint64_t lsn);
+  std::size_t begin_record();
+  void end_record(std::size_t start, int sync_class, std::uint64_t lsn);
   /// Lsn for the next record: drawn from lsn_source_ when attached (caller
   /// holds the family mutex), else the internal running count.
   std::uint64_t next_lsn() noexcept;
@@ -184,8 +188,10 @@ class WalWriter {
   FaultInjector* injector_;
   std::atomic<std::uint64_t>* lsn_source_;
   std::string fault_tag_;
-  std::string scratch_;        ///< payload encode buffer, reused
-  std::string pending_;        ///< framed bytes not yet written to the OS
+  /// Framed bytes not yet written to the OS. Records are encoded straight
+  /// into it and it keeps its capacity across flushes, so a steady-state
+  /// append allocates nothing.
+  std::string pending_;
   std::uint64_t record_seq_ = 0;
   std::uint64_t sync_seq_ = 0;
   std::uint64_t bytes_appended_ = 0;

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -161,6 +162,12 @@ Server::~Server() { stop(); }
 const char* Server::backend_name() const noexcept { return loops_[0]->loop.backend_name(); }
 
 namespace {
+
+/// True when the kernel holds received bytes the loop has not read yet.
+bool has_unread_input(int fd) {
+  int pending = 0;
+  return ::ioctl(fd, FIONREAD, &pending) == 0 && pending > 0;
+}
 
 int open_listener(const ServerOptions& options, std::uint16_t port, bool want_reuse_port,
                   bool* reuse_port_ok) {
@@ -329,9 +336,13 @@ void Server::sweep_idle(Loop& loop) {
     if (options_.request_read_timeout_ms > 0 && conn->mid_request &&
         now - conn->request_start > read_timeout) {
       read_expired.push_back(fd);
-    } else if (draining && conn->out_bytes == 0 && !conn->stream && !conn->mid_request) {
+    } else if (draining && conn->out_bytes == 0 && !conn->stream && !conn->mid_request &&
+               !has_unread_input(fd)) {
       // Keep-alive connection idle at a request boundary: nothing is owed
-      // either way, so the drain ends it now.
+      // either way, so the drain ends it now. Bytes still in the kernel's
+      // receive buffer are a request the loop has not read yet: it is in
+      // flight, and closing over unread input would send RST instead of
+      // its answer.
       drain_quiet.push_back(fd);
     } else if (options_.idle_timeout_ms > 0 && now - conn->last_activity > idle_timeout) {
       idle_expired.push_back(fd);
@@ -462,19 +473,21 @@ void Server::on_accept(Loop& loop) {
       SF_LOG_WARN("net") << "accept failed: " << std::strerror(errno);
       return;
     }
+    // A refusal is counted before the close: once the client sees EOF,
+    // stats() already reports it.
     if (draining_.load(std::memory_order_acquire)) {
       // Late arrival in the window before the sweep closes the listener:
       // refuse outright rather than admit work the drain will abandon.
-      ::close(fd);
       loop.refused.fetch_add(1, std::memory_order_relaxed);
       if (metrics_->m_refused != nullptr) metrics_->m_refused->inc();
+      ::close(fd);
       continue;
     }
     if (total_connections_.fetch_add(1, std::memory_order_relaxed) >= options_.max_connections) {
       total_connections_.fetch_sub(1, std::memory_order_relaxed);
-      ::close(fd);
       loop.refused.fetch_add(1, std::memory_order_relaxed);
       if (metrics_->m_refused != nullptr) metrics_->m_refused->inc();
+      ::close(fd);
       continue;
     }
     set_nonblocking_fd(fd);

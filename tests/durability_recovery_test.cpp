@@ -18,6 +18,7 @@
 #include "core/smartflux.h"
 #include "datastore/datastore.h"
 #include "datastore/wal.h"
+#include "obs/metrics.h"
 #include "wms/engine.h"
 #include "wms/journal.h"
 #include "wms/scheduler.h"
@@ -413,6 +414,69 @@ TEST(ShardedCrashMatrix, PartialCommitBroadcastLeavesNoShardAheadOfTheStamp) {
   // The wave-2 put was logged before the crash and replays; re-running wave
   // 2 with equal timestamps converges, per the wave-boundary contract.
   EXPECT_EQ(recovered->get("t", r0, "c"), std::optional<double>{3.0});
+}
+
+TEST(ShardedCrashMatrix, FsyncFailureOnOneFamilyLeavesTheWaveUndurable) {
+  ShardOptions so;
+  so.shards = 4;
+  const ShardRing ring(so);
+  std::vector<std::string> rows;
+  for (std::size_t shard = 0; shard < so.shards; ++shard) {
+    rows.push_back(row_on_shard(ring, shard));
+  }
+  const std::string dir = fresh_dir("sf_shard_fsync_fail");
+  const std::string failing_segment = dir + "/" + sharded_wal_segment_name(2, 1);
+  obs::MetricsRegistry metrics;
+  FaultInjector injector(11);
+  // Under kEveryWave a family fsyncs only at wave commits, so sync #1 of
+  // family s2 is its phase-2 fsync of wave 2.
+  injector.add_disk_rule(DiskFaultRule{.kind = DiskFaultKind::kFsyncFail,
+                                       .file_tag = "wal-s2",
+                                       .first_record = 1,
+                                       .last_record = 1});
+  std::uintmax_t synced_bytes = 0;
+  {
+    DataStore store(2, so);
+    DurabilityOptions options;
+    options.flush = WalFlushPolicy::kEveryWave;
+    options.fault_injector = &injector;
+    options.metrics = &metrics;
+    store.enable_durability(dir, options);
+    for (const std::string& row : rows) store.put("t", row, "c", 1, 1.0);
+    store.commit_wave(1);
+    synced_bytes = std::filesystem::file_size(failing_segment);
+    for (const std::string& row : rows) store.put("t", row, "c", 2, 2.0);
+    EXPECT_THROW(store.commit_wave(2), InjectedFault);
+    // The failure surfaced only after every other family finished its sync
+    // (4 syncs for wave 1, then 3 of 4 for wave 2), and the stamp was
+    // skipped: the barrier was observed for wave 1 only.
+    EXPECT_EQ(metrics.counter("sf_ds_wal_syncs_total").value(), 7u);
+    EXPECT_EQ(metrics.histogram("sf_ds_wave_commit_duration_seconds", obs::duration_buckets())
+                  .count(),
+              1u);
+    EXPECT_EQ(store.last_committed_wave(), std::optional<Timestamp>{1});
+    EXPECT_THROW(store.commit_wave(3), Error);  // the failed family stays broken
+  }
+  // Power loss: the family whose fsync failed keeps only what it had synced.
+  std::filesystem::resize_file(failing_segment, synced_bytes);
+
+  RecoveryInfo info;
+  auto recovered = DataStore::recover(dir, {}, 2, &info, so);
+  // Three families hold the wave-2 stamp, one does not: the wave is not
+  // durable, and no family's stamp runs ahead of the recovered boundary.
+  EXPECT_EQ(info.last_durable_wave, std::optional<Timestamp>{1});
+  EXPECT_EQ(recovered->last_committed_wave(), std::optional<Timestamp>{1});
+  EXPECT_EQ(recovered->cell_versions("t", rows[2], "c"), (std::vector<CellVersion>{{1, 1.0}}));
+  // Re-running wave 2 from the boundary converges every shard, whichever of
+  // its writes had reached the disk.
+  for (const std::string& row : rows) recovered->put("t", row, "c", 2, 2.0);
+  recovered->commit_wave(2);
+  for (const std::string& row : rows) {
+    EXPECT_EQ(recovered->cell_versions("t", row, "c"),
+              (std::vector<CellVersion>{{2, 2.0}, {1, 1.0}}))
+        << row;
+  }
+  EXPECT_EQ(recovered->last_committed_wave(), std::optional<Timestamp>{2});
 }
 
 TEST(ShardedCheckpointing, CheckpointRotatesEveryFamilyAndBoundsReplay) {

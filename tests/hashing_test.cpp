@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "common/hashing.h"
 
@@ -40,6 +41,27 @@ TEST(Hashing, FewCollisionsOverRange) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < 20000; ++i) seen.insert(hash64(5, i));
   EXPECT_EQ(seen.size(), 20000u);
+}
+
+TEST(Crc32c, RuntimeMatchesTheTableOnEveryLengthAndAlignment) {
+  // The standard check value, folded at compile time through the table.
+  static_assert(crc32c("123456789", 9) == 0xe3069283u);
+  const char* check = "123456789";
+  EXPECT_EQ(crc32c(check, 9), 0xe3069283u);
+  std::string bytes(300, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(hash64(5, i) & 0xffu);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; offset + n <= bytes.size(); n += 7) {
+      const char* data = bytes.data() + offset;
+      EXPECT_EQ(crc32c(data, n), detail::crc32c_table(data, n, 0)) << offset << "+" << n;
+      EXPECT_EQ(crc32c(data, n, 0x1234u), detail::crc32c_table(data, n, 0x1234u));
+    }
+  }
+  // Chaining over a split buffer equals one pass.
+  EXPECT_EQ(crc32c(bytes.data() + 100, 200, crc32c(bytes.data(), 100)),
+            crc32c(bytes.data(), 300));
 }
 
 TEST(SmoothNoise, BoundedByOne) {

@@ -54,6 +54,28 @@ struct Stack {
 
   Client connect() { return Client(server->port()); }
 
+  /// Connects and returns once the server has accepted the connection. A
+  /// drain refuses what is still in the listen backlog, so a test that
+  /// drains must not race the accept.
+  Client connect_accepted() {
+    const std::uint64_t before = server->stats().connections_accepted;
+    Client client = connect();
+    EXPECT_TRUE(eventually([&] { return server->stats().connections_accepted > before; }))
+        << "server never accepted the connection";
+    return client;
+  }
+
+  /// Polls `condition` until it holds or five seconds pass.
+  template <typename Condition>
+  static bool eventually(Condition condition) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!condition()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
   ds::DataStore store;
   IngestBridge bridge;
   std::unique_ptr<Server> server;
@@ -231,15 +253,14 @@ TEST(NetDrain, DrainFlushesStagedRowsAndStops) {
 
 TEST(NetDrain, InFlightRequestAnsweredWithConnectionClose) {
   Stack stack;
-  Client client = stack.connect();
+  Client client = stack.connect_accepted();
   // Half a request on the wire when drain begins: drain must wait for it,
   // answer it, and only then let the connection go.
   client.send_raw("POST /ingest/sensors HTTP/1.1\r\nContent-Length: 10\r\n\r\nr1,o3");
 
   std::atomic<bool> drained{false};
-  std::thread drainer([&] { drained.store(stack.server->drain(5'000, {})); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_TRUE(stack.server->draining());
+  std::jthread drainer([&] { drained.store(stack.server->drain(5'000, {})); });
+  EXPECT_TRUE(Stack::eventually([&] { return stack.server->draining(); }));
   client.send_raw(",4.5\n");
 
   const ClientResponse response = client.read_response();
@@ -262,10 +283,10 @@ TEST(NetDrain, DrainCompletesActivelyReadStream) {
     }
   }
 
-  Client client = stack.connect();
+  Client client = stack.connect_accepted();
   client.send_request("GET", "/scan?table=big&stream=1");
   std::atomic<bool> drained{false};
-  std::thread drainer([&] { drained.store(stack.server->drain(10'000, {})); });
+  std::jthread drainer([&] { drained.store(stack.server->drain(10'000, {})); });
   const ClientResponse response = client.read_response();  // reads to the final chunk
   EXPECT_EQ(response.status, 200);
   EXPECT_TRUE(response.chunked);
@@ -508,7 +529,7 @@ TEST(NetChaosClient_, ChaosIngestConservesRows) {
   constexpr std::size_t kRequests = 12;
   std::atomic<ds::Timestamp> wave{1};
   std::atomic<bool> done{false};
-  std::thread driver([&] {
+  std::jthread driver([&] {
     while (!done.load(std::memory_order_acquire)) {
       stack.drain_wave(wave.fetch_add(1, std::memory_order_relaxed));
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -517,7 +538,7 @@ TEST(NetChaosClient_, ChaosIngestConservesRows) {
 
   std::atomic<int> failures{0};
   std::atomic<std::uint64_t> faults_inflicted{0};
-  std::vector<std::thread> swarm;
+  std::vector<std::jthread> swarm;
   for (std::size_t c = 0; c < kClients; ++c) {
     swarm.emplace_back([&, c] {
       ChaosClient client(stack.server->port(), &schedule, /*stream=*/c);

@@ -196,7 +196,7 @@ TEST_F(NetServerMultiLoop, ServesConcurrentClientsAcrossLoops) {
   constexpr int kClients = 8;
   constexpr int kRequests = 40;
   std::atomic<int> accepted{0};
-  std::vector<std::thread> threads;
+  std::vector<std::jthread> threads;
   threads.reserve(kClients);
   for (int t = 0; t < kClients; ++t) {
     threads.emplace_back([this, t, &accepted] {

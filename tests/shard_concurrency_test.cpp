@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <set>
@@ -11,7 +14,7 @@
 #include <tuple>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/hashing.h"
 #include "datastore/client.h"
 #include "datastore/datastore.h"
 #include "datastore/shard_ring.h"
@@ -51,6 +54,32 @@ TEST(ShardRingTest, RoutingIsDeterministicAcrossInstances) {
   for (std::size_t i = 0; i < 2000; ++i) {
     const std::string row = row_name(i);
     EXPECT_EQ(a.shard_of(row), b.shard_of(row)) << row;
+  }
+}
+
+/// The ring's bucketed lookup against the definition it implements: the
+/// owner of the first (hash, owner)-ordered point at or after the row hash,
+/// wrapping past the top.
+TEST(ShardRingTest, LookupMatchesTheFirstPointClockwise) {
+  for (const std::size_t shards : {2u, 4u, 8u, 37u}) {
+    ShardOptions so;
+    so.shards = shards;
+    so.vnodes_per_shard = shards == 37 ? 3 : 64;
+    const ShardRing ring(so);
+    std::vector<std::pair<std::uint64_t, std::size_t>> points;
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+      for (std::size_t vnode = 0; vnode < so.vnodes_per_shard; ++vnode) {
+        points.emplace_back(hash64(so.ring_seed, shard, vnode), shard);
+      }
+    }
+    std::sort(points.begin(), points.end());
+    for (std::size_t i = 0; i < 20000; ++i) {
+      const std::string row = row_name(i);
+      const std::uint64_t h = hash64_bytes(row, so.ring_seed);
+      auto it = std::lower_bound(points.begin(), points.end(), std::make_pair(h, std::size_t{0}));
+      if (it == points.end()) it = points.begin();
+      ASSERT_EQ(ring.shard_of(row), it->second) << shards << " shards, " << row;
+    }
   }
 }
 
@@ -101,10 +130,8 @@ TEST(ShardRingTest, GrowingTheRingMovesOnlyAMinorityOfKeys) {
 /// forced on) and an unsharded one, and compares full state and observer
 /// streams — split application must be invisible to every read surface.
 TEST(ShardEquivalence, SplitBatchMatchesSerialBatchExactly) {
-  ThreadPool pool(4);
   ShardOptions so;
   so.shards = 4;
-  so.batch_pool = &pool;
   so.parallel_batch_min_ops = 1;  // force the parallel path even for tiny batches
   DataStore sharded(3, so);
   DataStore plain(3);
@@ -137,6 +164,71 @@ TEST(ShardEquivalence, SplitBatchMatchesSerialBatchExactly) {
   // Observer streams match element-for-element: same cells, same order
   // (original op order), same old/new values.
   EXPECT_EQ(sharded_seen, plain_seen);
+}
+
+/// The production configuration: default ShardOptions, so a batch above the
+/// threshold fans out on the process-wide helper pool. State, observer
+/// streams and the replayed WAL must all equal the unsharded store's.
+TEST(ShardEquivalence, DefaultHelperPoolFanOutMatchesUnshardedStoreAndItsReplay) {
+  ShardOptions so;
+  so.shards = 4;
+  const std::string sharded_dir = testing::TempDir() + "sf_shard_fanout_sharded";
+  const std::string plain_dir = testing::TempDir() + "sf_shard_fanout_plain";
+  std::filesystem::remove_all(sharded_dir);
+  std::filesystem::remove_all(plain_dir);
+  DurabilityOptions durability;
+  durability.flush = WalFlushPolicy::kEveryWave;
+
+  std::string live_dump;
+  {
+    DataStore sharded(3, so);
+    DataStore plain(3);
+    sharded.enable_durability(sharded_dir, durability);
+    plain.enable_durability(plain_dir, durability);
+
+    using Observed = std::tuple<MutationKind, TableName, RowKey, ColumnKey, Timestamp, double,
+                                double, bool>;
+    std::vector<Observed> sharded_seen, plain_seen;
+    sharded.subscribe([&](const Mutation& m) {
+      sharded_seen.emplace_back(m.kind, m.table, m.row, m.column, m.timestamp, m.new_value,
+                                m.old_value, m.had_old_value);
+    });
+    plain.subscribe([&](const Mutation& m) {
+      plain_seen.emplace_back(m.kind, m.table, m.row, m.column, m.timestamp, m.new_value,
+                              m.old_value, m.had_old_value);
+    });
+
+    std::vector<std::string> rows;
+    for (std::size_t i = 0; i < 200; ++i) rows.push_back(row_name(i));
+    for (Timestamp wave = 1; wave <= 3; ++wave) {
+      std::vector<PutOp> ops;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        ops.push_back({rows[i], "a", static_cast<double>(wave * 1000 + i)});
+        ops.push_back({rows[i], "b", static_cast<double>(i) * 0.5});
+      }
+      // The same cell twice in one batch: the later op must win, as in a
+      // put() loop.
+      ops.push_back({rows[7], "a", -1.0 * static_cast<double>(wave)});
+      ASSERT_GE(ops.size(), so.parallel_batch_min_ops);
+      sharded.put_batch("t", wave, ops);
+      plain.put_batch("t", wave, ops);
+      sharded.commit_wave(wave);
+      plain.commit_wave(wave);
+    }
+    live_dump = dump_store(plain);
+    EXPECT_EQ(dump_store(sharded), live_dump);
+    EXPECT_EQ(sharded_seen, plain_seen);
+  }
+
+  RecoveryInfo info;
+  const auto replayed = DataStore::recover(sharded_dir, {}, 3, &info, so);
+  EXPECT_EQ(info.last_durable_wave, std::optional<Timestamp>{3});
+  EXPECT_EQ(dump_store(*replayed), live_dump);
+  // Routing is recomputed on replay, so the sharded log also reloads into an
+  // unsharded store unchanged.
+  EXPECT_EQ(dump_store(*DataStore::recover(sharded_dir, {}, 3)), live_dump);
+  std::filesystem::remove_all(sharded_dir);
+  std::filesystem::remove_all(plain_dir);
 }
 
 TEST(ShardEquivalence, ScanOrderAndSnapshotMatchUnshardedStore) {
@@ -179,10 +271,8 @@ TEST(ShardEquivalence, ScanOrderAndSnapshotMatchUnshardedStore) {
 // Concurrency (the TSan target: cross-shard writers, readers, scanners)
 
 TEST(ShardConcurrency, ConcurrentCrossShardWritersReadersAndScanners) {
-  ThreadPool pool(4);
   ShardOptions so;
   so.shards = 4;
-  so.batch_pool = &pool;
   so.parallel_batch_min_ops = 8;
   DataStore store(2, so);
 
@@ -191,7 +281,7 @@ TEST(ShardConcurrency, ConcurrentCrossShardWritersReadersAndScanners) {
   constexpr std::size_t kWaves = 12;
   std::atomic<bool> stop{false};
 
-  std::vector<std::thread> threads;
+  std::vector<std::jthread> threads;
   // Writers: disjoint row ranges (cells are single-writer; the shards they
   // land in interleave freely).
   for (std::size_t w = 0; w < kWriters; ++w) {
@@ -211,7 +301,7 @@ TEST(ShardConcurrency, ConcurrentCrossShardWritersReadersAndScanners) {
     });
   }
   // Readers/scanners race the writers across every shard.
-  std::vector<std::thread> readers;
+  std::vector<std::jthread> readers;
   for (std::size_t r = 0; r < 3; ++r) {
     readers.emplace_back([&store, &stop, r] {
       std::size_t laps = 0;
@@ -239,6 +329,68 @@ TEST(ShardConcurrency, ConcurrentCrossShardWritersReadersAndScanners) {
     EXPECT_EQ(store.get("solo", row_name(w), "v"),
               std::optional<double>{static_cast<double>(kWaves * 10 + w)});
   }
+}
+
+/// Writers whose batches fan out on the helper pool race a wave committer
+/// whose fsyncs fan out on the same pool, on a 4-shard durable store. The
+/// TSan target for both fan-outs; afterwards the log must replay to exactly
+/// the live state.
+TEST(ShardConcurrency, FannedOutBatchWritersRaceWaveCommitsOnDurableStore) {
+  ShardOptions so;
+  so.shards = 4;
+  const std::string dir = testing::TempDir() + "sf_shard_fanout_race";
+  std::filesystem::remove_all(dir);
+  DurabilityOptions durability;
+  durability.flush = WalFlushPolicy::kEveryWave;
+
+  constexpr std::size_t kWriters = 3;
+  constexpr std::size_t kRowsPerWriter = 300;  // above parallel_batch_min_ops
+  constexpr Timestamp kWaves = 8;
+  std::string live_dump;
+  {
+    DataStore store(2, so);
+    store.enable_durability(dir, durability);
+    // The table exists before the threads start: the race under test is
+    // the write path against the commit barrier, not table creation.
+    store.put("grid", "origin", "v", 1, 0.0);
+    std::atomic<bool> writing{true};
+    {
+      std::jthread committer([&store, &writing] {
+        Timestamp wave = 1;
+        while (writing.load(std::memory_order_acquire)) store.commit_wave(wave++);
+      });
+      std::vector<std::jthread> writers;
+      for (std::size_t w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&store, w] {
+          std::vector<std::string> rows;
+          for (std::size_t i = 0; i < kRowsPerWriter; ++i) {
+            rows.push_back(row_name(w * kRowsPerWriter + i));
+          }
+          for (Timestamp wave = 1; wave <= kWaves; ++wave) {
+            std::vector<PutOp> ops;
+            for (const std::string& row : rows) {
+              ops.push_back({row, "v", static_cast<double>(wave)});
+            }
+            store.put_batch("grid", wave, ops);
+          }
+        });
+      }
+      writers.clear();  // joins
+      writing.store(false, std::memory_order_release);
+    }
+    const Timestamp last = store.last_committed_wave().value_or(0) + 1;
+    store.commit_wave(last);
+    for (std::size_t i = 0; i < kWriters * kRowsPerWriter; ++i) {
+      EXPECT_EQ(store.get("grid", row_name(i), "v"),
+                std::optional<double>{static_cast<double>(kWaves)});
+    }
+    live_dump = dump_store(store);
+  }
+  RecoveryInfo info;
+  const auto replayed = DataStore::recover(dir, {}, 2, &info, so);
+  EXPECT_TRUE(info.last_durable_wave.has_value());
+  EXPECT_EQ(dump_store(*replayed), live_dump);
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -93,6 +94,27 @@ TEST(ThreadPool, RejectsInvalidArguments) {
   EXPECT_THROW(ThreadPool pool(0), smartflux::InvalidArgument);
   ThreadPool pool(1);
   EXPECT_THROW(pool.submit(std::function<void()>{}), smartflux::InvalidArgument);
+}
+
+TEST(ThreadPool, HelperPoolIsOneProcessWidePoolSizedToTheHardware) {
+  ThreadPool& pool = helper_pool();
+  EXPECT_EQ(&pool, &helper_pool());
+  const unsigned hardware = std::thread::hardware_concurrency();
+  EXPECT_EQ(pool.thread_count(), hardware > 1 ? hardware - 1 : 1u);
+  // Nested use from another pool's task (a workflow step issuing a sharded
+  // put_batch) completes even while every helper is busy.
+  ThreadPool engine_pool(2);
+  std::atomic<int> total{0};
+  std::vector<std::function<void()>> outer;
+  for (int i = 0; i < 4; ++i) {
+    outer.push_back([&total] {
+      std::vector<std::function<void()>> inner;
+      for (int j = 0; j < 6; ++j) inner.push_back([&total] { ++total; });
+      helper_pool().run_all(std::move(inner));
+    });
+  }
+  engine_pool.run_all(std::move(outer));
+  EXPECT_EQ(total.load(), 24);
 }
 
 // --- Parallel wave execution -----------------------------------------------
