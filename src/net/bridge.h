@@ -192,9 +192,10 @@ class IngestBridge {
   /// recognized. Returns the number of keys seeded. Call before serving.
   std::size_t seed_dedupe(const ds::DataStore& store);
 
-  /// The WaveIngest callback for WorkflowEngine::run_waves_pipelined (and
-  /// for manual per-wave draining): swaps out everything staged so far and
-  /// writes it table by table through Client::put_batch. Rows staged while
+  /// The WaveIngest callback for WorkflowEngine::run_waves_pipelined — the
+  /// one way to overlap ingest with compute — or for manual per-wave
+  /// draining: swaps out everything staged so far and writes it table by
+  /// table through Client::put_batch. Rows staged while
   /// wave w ingests land in wave w+1 — the coalescing boundary.
   wms::WaveIngest make_ingest();
 

@@ -1,7 +1,6 @@
 #include "wms/engine.h"
 
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <thread>
 
@@ -57,7 +56,7 @@ struct WorkflowEngine::EngineObs {
     waves_shed = &registry.counter("sf_wms_waves_shed_total", wf,
                                    "Waves dropped accountably under overload");
     ingest_queue_depth = &registry.gauge("sf_wms_ingest_queue_depth", wf,
-                                         "Ingested-not-yet-computed waves (pressured pipeline)");
+                                         "Ingested-not-yet-computed waves (pipelined ingest)");
     wave_duration = &registry.histogram("sf_wms_wave_duration_seconds", obs::duration_buckets(),
                                         wf, "Wall-clock duration of one wave");
     status.resize(spec.size());
@@ -141,8 +140,15 @@ WorkflowEngine::WorkflowEngine(WorkflowSpec spec, ds::DataStore& store, Options 
       step_hashes_(spec_.size(), 0),
       last_exec_wave_(spec_.size()),
       step_starts_(spec_.size()) {
+  // One executor for both modes: with workers a batch is a dependency level
+  // (its approved steps run concurrently); serially every step is a batch of
+  // its own, in topological order.
   if (options_.worker_threads > 0) {
     pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
+    batches_ = spec_.levels();
+  } else {
+    batches_.reserve(spec_.size());
+    for (std::size_t index : spec_.topological_order()) batches_.push_back({index});
   }
   probe_gate_.reset(spec_.size());
   for (std::size_t i = 0; i < spec_.size(); ++i) {
@@ -204,8 +210,7 @@ WaveResult WorkflowEngine::run_wave(ds::Timestamp wave, TriggerController& contr
   const bool observed = obs_ != nullptr || options_.tracer != nullptr;
   std::chrono::steady_clock::time_point wave_start{};
   if (observed) wave_start = std::chrono::steady_clock::now();
-  WaveResult result =
-      pool_ ? run_wave_parallel(wave, controller) : run_wave_serial(wave, controller);
+  WaveResult result = run_batches(wave, controller);
   mark_stale(result);
   // Wave-boundary consistency: stamp the datastore's wave commit (fsyncing
   // the WAL) *before* the journal record, so every journaled wave also has
@@ -266,71 +271,27 @@ void WorkflowEngine::record_wave_observability(
   }
 }
 
-WaveResult WorkflowEngine::run_wave_serial(ds::Timestamp wave, TriggerController& controller) {
+WaveResult WorkflowEngine::run_batches(ds::Timestamp wave, TriggerController& controller) {
   WaveResult result = make_result(wave, spec_.size());
-  controller.begin_wave(wave);
-  for (std::size_t index : spec_.topological_order()) {
-    process_step(index, wave, result, controller);
-  }
-  controller.end_wave(wave);
-  return result;
-}
-
-void WorkflowEngine::process_step(std::size_t index, ds::Timestamp wave, WaveResult& result,
-                                  TriggerController& controller) {
-  bool probe = false;
-  if (quarantine_gate(index, &probe)) {
-    result.status[index] = StepStatus::kQuarantined;
-    apply_status(index, StepStatus::kQuarantined, wave, false);
-    return;
-  }
-  if (!eligible(index)) {  // status stays kNotEligible
-    if (probe) probe_gate_.release(index);
-    return;
-  }
-  const StepSpec& step = spec_.step_at(index);
-  const bool run = !step.tolerates_error() || controller.should_execute(spec_, index, wave);
-  if (!run) {
-    result.status[index] = StepStatus::kSkipped;
-    if (probe) probe_gate_.release(index);
-    return;
-  }
-  AttemptOutcome outcome;
-  try {
-    outcome = run_step_attempts(index, wave, probe ? 1 : 0);
-  } catch (...) {
-    if (probe) probe_gate_.release(index);
-    throw;  // propagating policy: the claim must not outlive the wave
-  }
-  if (outcome.success) {
-    record_execution(index, wave, result, outcome, controller);
-  } else {
-    record_outcome(index, result, StepStatus::kFailed, outcome);
-    apply_status(index, StepStatus::kFailed, wave, false);
-  }
-  // The probe's outcome is folded into the breaker state above; only now may
-  // the next wave claim a fresh probe.
-  if (probe) probe_gate_.release(index);
-}
-
-WaveResult WorkflowEngine::run_wave_parallel(ds::Timestamp wave, TriggerController& controller) {
-  WaveResult result = make_result(wave, spec_.size());
+  std::vector<std::size_t> to_run;
+  std::vector<bool> probes;
+  std::vector<AttemptOutcome> outcomes;
 
   controller.begin_wave(wave);
-  for (const auto& level : spec_.levels()) {
+  for (const auto& batch : batches_) {
     // Phase 1 (serial, spec order): quarantine gates and triggering
-    // decisions. Same-level steps cannot depend on one another, so their
+    // decisions. Steps of one batch cannot depend on one another, so their
     // inputs are already final.
-    std::vector<std::size_t> to_run;
-    std::vector<bool> probes;
-    for (std::size_t index : level) {
+    to_run.clear();
+    probes.clear();
+    for (std::size_t index : batch) {
       bool probe = false;
       if (quarantine_gate(index, &probe)) {
         result.status[index] = StepStatus::kQuarantined;
         apply_status(index, StepStatus::kQuarantined, wave, false);
         continue;
       }
-      if (!eligible(index)) {
+      if (!eligible(index)) {  // status stays kNotEligible
         if (probe) probe_gate_.release(index);
         continue;
       }
@@ -344,19 +305,26 @@ WaveResult WorkflowEngine::run_wave_parallel(ds::Timestamp wave, TriggerControll
       }
     }
 
-    // Phase 2 (parallel): execute the approved steps of this level. The
-    // retry loop runs inside each task; under a propagating policy the first
-    // exhausted step's exception surfaces from run_all after the level
-    // completes (failure counters are already recorded by then).
-    std::vector<AttemptOutcome> outcomes(to_run.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(to_run.size());
-    for (std::size_t k = 0; k < to_run.size(); ++k) {
-      tasks.push_back([this, wave, index = to_run[k], cap = probes[k] ? std::size_t{1} : 0,
-                       &outcomes, k] { outcomes[k] = run_step_attempts(index, wave, cap); });
-    }
+    // Phase 2: execute the approved steps — inline when there is only one
+    // (or no pool), else concurrently on the pool. The retry loop runs
+    // inside each task; under a propagating policy the first exhausted
+    // step's exception surfaces after the batch completes (failure counters
+    // are already recorded by then).
+    outcomes.assign(to_run.size(), AttemptOutcome{});
     try {
-      pool_->run_all(std::move(tasks));
+      if (pool_ && to_run.size() > 1) {
+        std::vector<std::function<void()>> tasks;
+        tasks.reserve(to_run.size());
+        for (std::size_t k = 0; k < to_run.size(); ++k) {
+          tasks.push_back([this, wave, index = to_run[k], cap = probes[k] ? std::size_t{1} : 0,
+                           &outcomes, k] { outcomes[k] = run_step_attempts(index, wave, cap); });
+        }
+        pool_->run_all(std::move(tasks));
+      } else {
+        for (std::size_t k = 0; k < to_run.size(); ++k) {
+          outcomes[k] = run_step_attempts(to_run[k], wave, probes[k] ? 1 : 0);
+        }
+      }
     } catch (...) {
       // Propagating failure aborts the wave: don't leave probe claims behind.
       for (std::size_t k = 0; k < to_run.size(); ++k) {
@@ -365,7 +333,9 @@ WaveResult WorkflowEngine::run_wave_parallel(ds::Timestamp wave, TriggerControll
       throw;
     }
 
-    // Phase 3 (serial, spec order): bookkeeping and notifications.
+    // Phase 3 (serial, spec order): bookkeeping and notifications. A probe's
+    // outcome is folded into the breaker state here; only then may the next
+    // wave claim a fresh probe.
     for (std::size_t k = 0; k < to_run.size(); ++k) {
       const std::size_t index = to_run[k];
       if (outcomes[k].success) {
@@ -599,96 +569,14 @@ std::vector<WaveResult> WorkflowEngine::run_waves_pipelined(ds::Timestamp first,
                                                             TriggerController& controller,
                                                             const WaveIngest& ingest,
                                                             std::size_t depth) {
-  SF_CHECK(static_cast<bool>(ingest), "ingest must be callable");
   if (depth == 0) throw InvalidArgument("pipeline depth must be >= 1");
-  if (depth + 1 > store_->max_versions()) {
-    throw InvalidArgument("pipeline depth " + std::to_string(depth) +
-                          " needs a store with max_versions >= " + std::to_string(depth + 1) +
-                          " (got " + std::to_string(store_->max_versions()) +
-                          "): a step at wave w must still see its own wave past " +
-                          std::to_string(depth) + " newer ingested versions");
-  }
-  std::vector<WaveResult> out;
-  out.reserve(count);
-  if (count == 0) return out;
-
-  // One ingest worker: ingests stay serialized in wave order (two concurrent
-  // ingests of the same cell would race on per-cell timestamp monotonicity),
-  // while the main thread computes earlier waves.
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<ds::Timestamp> todo;                    // waves awaiting ingest, in order
-  std::map<ds::Timestamp, std::exception_ptr> done;  // wave -> ingest error (null = ok)
-  bool stop = false;
-
-  std::thread worker([&] {
-    for (;;) {
-      ds::Timestamp wave;
-      {
-        std::unique_lock lock(mutex);
-        cv.wait(lock, [&] { return stop || !todo.empty(); });
-        if (stop) return;
-        wave = todo.front();
-        todo.pop_front();
-      }
-      std::exception_ptr error;
-      try {
-        ds::Client client(*store_, wave);
-        ingest(client, wave);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      {
-        std::lock_guard lock(mutex);
-        done.emplace(wave, error);
-      }
-      cv.notify_all();
-    }
-  });
-  // Joins on every exit path (including a propagating step failure thrown
-  // from run_wave below); queued-but-unstarted ingests are abandoned.
-  struct StopAndJoin {
-    std::thread& worker;
-    std::mutex& mutex;
-    std::condition_variable& cv;
-    bool& stop;
-    ~StopAndJoin() {
-      {
-        std::lock_guard lock(mutex);
-        stop = true;
-      }
-      cv.notify_all();
-      worker.join();
-    }
-  } join_guard{worker, mutex, cv, stop};
-
-  std::size_t enqueued = 0;
-  const auto enqueue_through = [&](std::size_t waves) {
-    const std::size_t limit = std::min(waves, count);
-    if (enqueued >= limit) return;
-    {
-      std::lock_guard lock(mutex);
-      for (; enqueued < limit; ++enqueued) todo.push_back(first + enqueued);
-    }
-    cv.notify_all();
-  };
-
-  for (std::size_t k = 0; k < count; ++k) {
-    const ds::Timestamp wave = first + static_cast<ds::Timestamp>(k);
-    // Keep the pipeline primed `depth` waves past the one about to compute
-    // (k+1 covers the wave itself).
-    enqueue_through(k + 1 + depth);
-    std::exception_ptr ingest_error;
-    {
-      std::unique_lock lock(mutex);
-      cv.wait(lock, [&] { return done.count(wave) != 0; });
-      ingest_error = done.at(wave);
-      done.erase(wave);
-    }
-    if (ingest_error) std::rethrow_exception(ingest_error);
-    out.push_back(run_wave(wave, controller));
-  }
-  return out;
+  // The computing wave plus `depth` ingested ahead of it fill the window;
+  // one pop (wave done) re-opens it, so the ingest worker always leads by
+  // exactly `depth` waves and never sheds.
+  return run_waves_pipelined(
+      first, count, controller, ingest,
+      PressureOptions{.high_watermark = depth + 1, .low_watermark = depth,
+                      .overflow = OverflowPolicy::kBlock});
 }
 
 WaveResult WorkflowEngine::shed_wave(ds::Timestamp wave) {

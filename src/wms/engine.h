@@ -197,7 +197,9 @@ class WorkflowEngine {
   /// requires store.max_versions() >= depth + 1 (throws InvalidArgument
   /// otherwise, and when depth == 0). An ingest failure for wave w surfaces
   /// from this call before wave w runs; already-completed waves' results are
-  /// lost with the exception, matching run_waves.
+  /// lost with the exception, matching run_waves. This is the pressured
+  /// overload below with a blocking window of high_watermark = depth + 1,
+  /// low_watermark = depth.
   std::vector<WaveResult> run_waves_pipelined(ds::Timestamp first, std::size_t count,
                                               TriggerController& controller,
                                               const WaveIngest& ingest, std::size_t depth = 1);
@@ -290,10 +292,10 @@ class WorkflowEngine {
   /// Options::metrics is set, so waves touch only lock-free atomics).
   struct EngineObs;
 
-  WaveResult run_wave_serial(ds::Timestamp wave, TriggerController& controller);
-  WaveResult run_wave_parallel(ds::Timestamp wave, TriggerController& controller);
-  void process_step(std::size_t index, ds::Timestamp wave, WaveResult& result,
-                    TriggerController& controller);
+  /// The wave executor: walks batches_ in three phases each — gate and
+  /// trigger (serial, spec order), run the approved steps, then record and
+  /// notify (serial, spec order).
+  WaveResult run_batches(ds::Timestamp wave, TriggerController& controller);
   bool eligible(std::size_t index) const;
   const RetryPolicy& policy_for(std::size_t index) const;
   /// Quarantine gate, evaluated before eligibility/triggering: returns true
@@ -331,6 +333,9 @@ class WorkflowEngine {
   ds::DataStore* store_;
   Options options_;
   std::unique_ptr<ThreadPool> pool_;
+  /// Step batches of one wave, in execution order: the dependency levels
+  /// with a pool, one step per batch in topological order without.
+  std::vector<std::vector<std::size_t>> batches_;
   std::vector<std::size_t> exec_counts_;
   std::vector<std::size_t> failure_counts_;
   std::vector<StepFaultState> fault_states_;

@@ -103,9 +103,10 @@ TEST(ForestPersistence, SaveUnfittedThrows) {
 TEST(ForestPersistence, LoadRejectsGarbage) {
   std::stringstream empty;
   EXPECT_THROW(RandomForest::load(empty), smartflux::InvalidArgument);
-  std::stringstream zero_trees("forest 0 2 0.5 0.9\n");
+  // Well-formed forest2 headers, so only the tree-count checks can reject.
+  std::stringstream zero_trees("forest2 0 2 0.5 0.9 0.632 12 1 2 0 1\n");
   EXPECT_THROW(RandomForest::load(zero_trees), smartflux::InvalidArgument);
-  std::stringstream missing_trees("forest 2 2 0.5 0.9\n");
+  std::stringstream missing_trees("forest2 2 2 0.5 0.9 0.632 12 1 2 0 1\n");
   EXPECT_THROW(RandomForest::load(missing_trees), smartflux::InvalidArgument);
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -249,28 +253,53 @@ TEST(Engine, DurationsRecordedOnlyForExecutedSteps) {
   EXPECT_EQ(r.durations[1].count(), 0);
 }
 
-TEST(Engine, ControllerCallbacksInOrder) {
+/// Records every controller callback as "begin", "query:<id>", "done:<id>"
+/// or "end".
+class OrderController final : public TriggerController {
+ public:
+  std::vector<std::string> events;
+  void begin_wave(ds::Timestamp) override { events.push_back("begin"); }
+  bool should_execute(const WorkflowSpec& spec, std::size_t i, ds::Timestamp) override {
+    events.push_back("query:" + spec.step_at(i).id);
+    return true;
+  }
+  void on_step_executed(const WorkflowSpec& spec, std::size_t i, ds::Timestamp) override {
+    events.push_back("done:" + spec.step_at(i).id);
+  }
+  void end_wave(ds::Timestamp) override { events.push_back("end"); }
+};
+
+/// Controller events of one wave of `spec` on an engine with `worker_threads`.
+std::vector<std::string> callback_order(WorkflowSpec spec, std::size_t worker_threads) {
   ds::DataStore store;
-  WorkflowEngine engine(recording_spec(), store);
-
-  class OrderController final : public TriggerController {
-   public:
-    std::vector<std::string> events;
-    void begin_wave(ds::Timestamp) override { events.push_back("begin"); }
-    bool should_execute(const WorkflowSpec& spec, std::size_t i, ds::Timestamp) override {
-      events.push_back("query:" + spec.step_at(i).id);
-      return true;
-    }
-    void on_step_executed(const WorkflowSpec& spec, std::size_t i, ds::Timestamp) override {
-      events.push_back("done:" + spec.step_at(i).id);
-    }
-    void end_wave(ds::Timestamp) override { events.push_back("end"); }
-  } ctl;
-
+  WorkflowEngine::Options options;
+  options.worker_threads = worker_threads;
+  WorkflowEngine engine(std::move(spec), store, options);
+  OrderController ctl;
   engine.run_wave(1, ctl);
-  const std::vector<std::string> expected{"begin",   "done:a",  "query:b", "done:b",
-                                          "query:c", "done:c", "end"};
-  EXPECT_EQ(ctl.events, expected);
+  return ctl.events;
+}
+
+TEST(Engine, ControllerCallbacksInOrder) {
+  // A chain: both executors give the same interleaved order.
+  const std::vector<std::string> chain{"begin",   "done:a",  "query:b", "done:b",
+                                       "query:c", "done:c", "end"};
+  // A fan-out: intolerant a feeds tolerant b and c (one level), then d.
+  const auto fan_out = [] {
+    return WorkflowSpec("fan", {step("a"), step("b", {"a"}, 0.1), step("c", {"a"}, 0.1),
+                                step("d", {"b", "c"}, 0.1)});
+  };
+  // Serially every step is its own batch: query then done, step by step.
+  const std::vector<std::string> serial{"begin",  "done:a",  "query:b", "done:b", "query:c",
+                                        "done:c", "query:d", "done:d",  "end"};
+  // With workers a level is one batch: all its queries precede its dones.
+  const std::vector<std::string> parallel{"begin",  "done:a",  "query:b", "query:c", "done:b",
+                                          "done:c", "query:d", "done:d",  "end"};
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("worker_threads=" + std::to_string(workers));
+    EXPECT_EQ(callback_order(recording_spec(), workers), chain);
+    EXPECT_EQ(callback_order(fan_out(), workers), workers == 0 ? serial : parallel);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -367,6 +396,58 @@ TEST(PipelinedWaves, RejectsDepthsTheStoreCannotRetain) {
   EXPECT_THROW(engine.run_waves_pipelined(1, 2, sync, ingest, /*depth=*/2),
                smartflux::InvalidArgument);
   EXPECT_EQ(engine.waves_run(), 0u);
+}
+
+/// Runs `waves` pipelined waves at `depth` and checks, inside every wave k,
+/// that ingest(k + depth) completes while k computes and ingest(k + depth + 1)
+/// has not started: the ingest worker leads compute by exactly `depth`.
+void expect_ingest_leads_by(std::size_t depth, ds::Timestamp waves) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::set<ds::Timestamp> started;
+  std::set<ds::Timestamp> finished;
+  bool stalled = false;  // after one timeout, stop waiting so the test ends
+
+  StepSpec probe;
+  probe.id = "probe";
+  probe.fn = [&](StepContext& ctx) {
+    const ds::Timestamp ahead = ctx.wave + depth;
+    std::unique_lock lock(mutex);
+    if (ahead <= waves && !stalled &&
+        !cv.wait_for(lock, std::chrono::seconds(5), [&] { return finished.count(ahead) != 0; })) {
+      stalled = true;
+      ADD_FAILURE() << "wave " << ctx.wave << ": ingest of wave " << ahead
+                    << " never ran while it computed (pipeline under-prefetches)";
+    }
+    EXPECT_EQ(started.count(ahead + 1), 0u)
+        << "wave " << ctx.wave << ": ingest of wave " << ahead + 1
+        << " started while it computed (pipeline over-prefetches)";
+  };
+  ds::DataStore store(/*max_versions=*/depth + 1);
+  WorkflowEngine engine(WorkflowSpec("lead", {probe}), store);
+  SyncController sync;
+  const WaveIngest ingest = [&](ds::Client& client, ds::Timestamp wave) {
+    {
+      std::lock_guard lock(mutex);
+      started.insert(wave);
+    }
+    client.put("in", "r", "v", static_cast<double>(wave));
+    {
+      std::lock_guard lock(mutex);
+      finished.insert(wave);
+    }
+    cv.notify_all();
+  };
+  const auto results = engine.run_waves_pipelined(1, waves, sync, ingest, depth);
+  EXPECT_EQ(results.size(), waves);
+  EXPECT_EQ(finished.size(), waves);
+}
+
+TEST(PipelinedWaves, IngestLeadsComputeByExactlyDepth) {
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    expect_ingest_leads_by(depth, /*waves=*/8);
+  }
 }
 
 TEST(PipelinedWaves, IngestFailureSurfacesBeforeItsWaveRuns) {
