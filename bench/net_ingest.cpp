@@ -4,14 +4,12 @@
 // staged rows wave by wave — the full front-end path of DESIGN.md §14 under
 // load on one box.
 //
-// Three measurements, one JSON object:
+// Two measurements, one JSON object:
 //
-//   1. Baseline ingest: the legacy copy path (owned IngestRecord per row,
-//      global-mutex-era shape) on a single event loop.
-//   2. Zero-copy ingest sweep: spans-over-the-body staging + vectored
-//      writes, at loop_threads = 1 / 2 / 4 (SO_REUSEPORT sharding). The
-//      1-loop point isolates the hot-path win; the sweep shows scaling.
-//   3. Streaming scan: a ≥1M-cell container served buffered (large write
+//   1. Ingest sweep: spans-over-the-body staging + vectored writes, at
+//      loop_threads = 1 / 2 / 4 (SO_REUSEPORT sharding). The 1-loop point
+//      carries the throughput floor; the sweep shows scaling.
+//   2. Streaming scan: a ≥1M-cell container served buffered (large write
 //      bound) vs ?stream=1 (256KB bound) — byte-identical payloads, with
 //      the streaming server's peak per-connection write buffer recorded.
 //
@@ -19,19 +17,20 @@
 // kConnsPerThread keep-alive connections (threads × conns = 128 concurrent
 // sockets). A round pipelines one request per connection, then collects
 // every response; per-request latency is measured send→response-read under
-// the full concurrent load. Each phase runs twice interleaved (full mode)
-// and keeps its best run, so baseline and zero-copy see the same thermal /
+// the full concurrent load. Each phase runs three times interleaved (full
+// mode) and keeps its best run, so every loop count sees the same thermal /
 // scheduler conditions.
 //
 // Self-checks (exit 1): every ingest response is 202, every posted row is
 // drained into the store by the final wave, a spot cell is readable over
 // HTTP, /metrics exposes the sf_net families, scan payloads are
 // byte-identical across modes, the streaming peak write buffer stays ≤ the
-// bound, and (full mode only) zero-copy ≥ 1.15x baseline req/s at 1 loop.
+// bound, and (full mode only) the 1-loop phase reaches
+// kMinRequestsPerSec1Loop.
 //
 //   ./bench/net_ingest > docs/bench/net_ingest.json
 //   ./bench/net_ingest short > net_ingest.ci.json   (CI smoke: fewer rounds,
-//                                                    no speedup gate)
+//                                                    no throughput floor)
 
 #include <algorithm>
 #include <atomic>
@@ -61,6 +60,12 @@ using Clock = std::chrono::steady_clock;
 constexpr std::size_t kThreads = 4;
 constexpr std::size_t kConnsPerThread = 32;  // 4 × 32 = 128 concurrent connections
 constexpr std::size_t kRowsPerRequest = 24;
+
+/// Full-mode floor on the 1-loop phase's best-of-3 req/s, from 27 full runs
+/// on a 4-vCPU VM, RelWithDebInfo, under 4–23% host steal: median 19,509
+/// req/s, lowest 12,631. The floor sits below the lowest run so host load
+/// does not trip it; a ~2x hot-path loss at the median does.
+constexpr double kMinRequestsPerSec1Loop = 10'000.0;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -122,10 +127,9 @@ struct IngestPhaseResult {
 };
 
 /// One full ingest measurement: fresh store/bridge/server with the given
-/// loop count and staging path, 128 pipelined feeder connections, a
-/// concurrent pipelined wave engine, end-state self-checks.
-IngestPhaseResult run_ingest_phase(std::size_t loop_threads, bool zero_copy,
-                                   std::size_t rounds) {
+/// loop count, 128 pipelined feeder connections, a concurrent pipelined wave
+/// engine, end-state self-checks.
+IngestPhaseResult run_ingest_phase(std::size_t loop_threads, std::size_t rounds) {
   ds::DataStore store(4);
   obs::MetricsRegistry metrics;
 
@@ -144,7 +148,6 @@ IngestPhaseResult run_ingest_phase(std::size_t loop_threads, bool zero_copy,
   gateway.store = &store;
   gateway.ingest = &bridge;
   gateway.metrics = &metrics;
-  gateway.zero_copy_ingest = zero_copy;
   net::ServerOptions server_options;
   server_options.metrics = &metrics;
   server_options.max_connections = 2048;
@@ -233,14 +236,14 @@ IngestPhaseResult run_ingest_phase(std::size_t loop_threads, bool zero_copy,
   out.waves = waves_run;
 
   if (bad_status != 0) {
-    std::fprintf(stderr, "FAIL(loops=%zu,zc=%d): %zu ingest responses were not 202\n",
-                 loop_threads, zero_copy ? 1 : 0, bad_status);
+    std::fprintf(stderr, "FAIL(loops=%zu): %zu ingest responses were not 202\n", loop_threads,
+                 bad_status);
     ++out.failures;
   }
   if (bridge.stats().rows_ingested != out.rows || bridge.staged_rows() != 0) {
-    std::fprintf(stderr, "FAIL(loops=%zu,zc=%d): posted %zu rows but engine drained %llu "
+    std::fprintf(stderr, "FAIL(loops=%zu): posted %zu rows but engine drained %llu "
                  "(staged %zu)\n",
-                 loop_threads, zero_copy ? 1 : 0, out.rows,
+                 loop_threads, out.rows,
                  static_cast<unsigned long long>(bridge.stats().rows_ingested),
                  bridge.staged_rows());
     ++out.failures;
@@ -392,20 +395,18 @@ void print_ingest_phase(const char* key, const IngestPhaseResult& r, const char*
 
 int main(int argc, char** argv) {
   const bool short_mode = argc > 1 && std::strcmp(argv[1], "short") == 0;
-  const std::size_t rounds = short_mode ? 4 : 24;
-  const std::size_t reps = short_mode ? 1 : 2;
+  const std::size_t rounds = short_mode ? 4 : 96;
+  const std::size_t reps = short_mode ? 1 : 3;
   const std::size_t scan_cells = short_mode ? 65'536 : 1'000'000;
 
   struct Config {
     const char* key;
     std::size_t loops;
-    bool zero_copy;
   };
   const Config configs[] = {
-      {"baseline_copy_1loop", 1, false},
-      {"zero_copy_1loop", 1, true},
-      {"zero_copy_2loops", 2, true},
-      {"zero_copy_4loops", 4, true},
+      {"zero_copy_1loop", 1},
+      {"zero_copy_2loops", 2},
+      {"zero_copy_4loops", 4},
   };
   constexpr std::size_t kConfigs = sizeof(configs) / sizeof(configs[0]);
 
@@ -415,20 +416,17 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     for (std::size_t c = 0; c < kConfigs; ++c) {
-      const IngestPhaseResult r =
-          run_ingest_phase(configs[c].loops, configs[c].zero_copy, rounds);
+      const IngestPhaseResult r = run_ingest_phase(configs[c].loops, rounds);
       failures += r.failures;
       if (rep == 0 || r.requests_per_sec > best[c].requests_per_sec) best[c] = r;
     }
   }
 
-  const double speedup = best[1].requests_per_sec / best[0].requests_per_sec;
-  // Sanitizer/CI smoke runs record the ratio without gating on it — under
-  // ASan/TSan the copy path's allocations don't cost what they cost in a
-  // release build.
-  if (!short_mode && speedup < 1.15) {
-    std::fprintf(stderr, "FAIL: zero-copy 1-loop speedup %.3fx is below the 1.15x floor\n",
-                 speedup);
+  // Sanitizer/CI smoke runs record the rate without gating on it: short
+  // mode's few rounds and sanitizer overhead put it far below a full run.
+  if (!short_mode && best[0].requests_per_sec < kMinRequestsPerSec1Loop) {
+    std::fprintf(stderr, "FAIL: 1-loop ingest %.0f req/s is below the %.0f req/s floor\n",
+                 best[0].requests_per_sec, kMinRequestsPerSec1Loop);
     ++failures;
   }
 
@@ -445,12 +443,13 @@ int main(int argc, char** argv) {
   std::printf("  \"connections\": %zu,\n", kThreads * kConnsPerThread);
   std::printf("  \"feeder_threads\": %zu,\n", kThreads);
   std::printf("  \"rows_per_request\": %zu,\n", kRowsPerRequest * 3);
+  std::printf("  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
+  std::printf("  \"reps\": %zu,\n", reps);
   std::printf("  \"ingest\": {\n");
   print_ingest_phase(configs[0].key, best[0], ",");
   print_ingest_phase(configs[1].key, best[1], ",");
   print_ingest_phase(configs[2].key, best[2], ",");
-  print_ingest_phase(configs[3].key, best[3], ",");
-  std::printf("    \"zero_copy_speedup_1loop\": %.3f\n", speedup);
+  std::printf("    \"floor_1loop_requests_per_sec\": %.0f\n", kMinRequestsPerSec1Loop);
   std::printf("  },\n");
   std::printf("  \"scan_stream\": {\n");
   std::printf("    \"cells\": %zu,\n", scan.cells);

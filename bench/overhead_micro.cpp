@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common/hashing.h"
-#include "core/incremental_monitor.h"
 #include "core/monitoring.h"
 #include "core/predictor.h"
 #include "core/qod_engine.h"
@@ -178,28 +177,6 @@ wms::WorkflowSpec overhead_spec() {
   };
   return wms::WorkflowSpec("overhead", {src, agg});
 }
-
-void BM_IncrementalHarvest(benchmark::State& state) {
-  // The observer-driven tracker harvests in O(changed elements): compare
-  // with BM_TrackerObserve, which snapshots the whole container.
-  ds::DataStore store;
-  const auto cells = static_cast<std::size_t>(state.range(0));
-  for (std::size_t i = 0; i < cells; ++i) {
-    store.put("t", "r" + std::to_string(i), "c", 1, hash_unit(1, i));
-  }
-  core::IncrementalTracker tracker(store, ds::ContainerRef::whole_table("t"),
-                                   core::make_impact_metric(core::ImpactKind::kMagnitudeCount),
-                                   core::AccumulationMode::kCumulative);
-  ds::Timestamp ts = 1;
-  for (auto _ : state) {
-    state.PauseTiming();
-    ++ts;
-    store.put("t", "r0", "c", ts, hash_unit(2, ts));
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(tracker.harvest());
-  }
-}
-BENCHMARK(BM_IncrementalHarvest)->Arg(100)->Arg(1000);
 
 void BM_WaveSynchronousPlain(benchmark::State& state) {
   ds::DataStore store;

@@ -60,8 +60,8 @@ double ContainerTracker::observe(const ds::DataStore& store) {
 }
 
 void ContainerTracker::reset(const ds::DataStore& store) {
-  baseline_ = store.snapshot_flat(container_);
-  last_seen_ = baseline_;
+  last_seen_ = store.snapshot_flat(container_);
+  if (mode_ == AccumulationMode::kCancelling) baseline_ = last_seen_;
   accumulated_ = 0.0;
   last_delta_ = 0.0;
 }

@@ -60,7 +60,7 @@ class ContainerTracker {
   // Reference states as flat snapshots (DataStore::snapshot_flat): one
   // contiguous vector each instead of a rebuilt string-keyed tree per wave.
   ds::FlatSnapshot last_seen_;  ///< state at previous observe (cumulative mode)
-  ds::FlatSnapshot baseline_;   ///< state at last reset (cancelling mode)
+  ds::FlatSnapshot baseline_;   ///< state at last reset (cancelling mode only)
   double accumulated_ = 0.0;
   double last_delta_ = 0.0;
 };

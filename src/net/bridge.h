@@ -36,18 +36,11 @@ class SmartFluxEngine;
 
 namespace smartflux::net {
 
-/// One parsed ingest record (an owned copy of a `row,col,value` line).
-struct IngestRecord {
-  std::string row;
-  std::string column;
-  double value = 0.0;
-};
-
-/// One `row,col,value` record of the zero-copy ingest path, as offsets into
-/// an arena string (the request body, moved — not copied — into the staged
-/// batch). Offsets rather than string_views: the arena is a std::string
-/// that gets moved between buffers, and a small-string move relocates the
-/// bytes, which would dangle any view taken earlier.
+/// One `row,col,value` ingest record, as offsets into an arena string (the
+/// request body, moved — not copied — into the staged batch). Offsets
+/// rather than string_views: the arena is a std::string that gets moved
+/// between buffers, and a small-string move relocates the bytes, which
+/// would dangle any view taken earlier.
 struct IngestSpan {
   std::uint32_t row_off = 0;
   std::uint32_t row_len = 0;
@@ -63,11 +56,10 @@ struct IngestRefusal {
 };
 
 /// The bridge between the HTTP front-end and the wave engine: hundreds of
-/// connections stage rows concurrently (stage()/stage_spans(), called on
-/// the server's loop threads per request), and one pipelined engine drains
-/// them wave by wave through the existing WaveIngest path (make_ingest()
-/// feeds every staged table to Client::put_batch, one batch per table per
-/// wave).
+/// connections stage rows concurrently (stage(), called on the server's
+/// loop threads per request), and one pipelined engine drains them wave by
+/// wave through the existing WaveIngest path (make_ingest() feeds every
+/// staged table to Client::put_batch, one batch per table per wave).
 ///
 /// Staging is striped: tables hash onto kStripes independent lock domains,
 /// so loop threads ingesting different tables never contend on one global
@@ -92,7 +84,7 @@ struct IngestRefusal {
 /// retry_after_seconds toward the cap with queue depth above the low
 /// watermark — a shed storm backs clients off harder than a blip.
 ///
-/// Idempotent retries: the keyed staging calls remember up to
+/// Idempotent retries: keyed stage() calls remember up to
 /// Options::dedupe_window idempotency keys per stripe, so a client that
 /// retries a POST after a dropped response is re-acked without re-staging.
 /// Each wave's accepted keys are written to Options::dedupe_table in the
@@ -106,9 +98,9 @@ class IngestBridge {
     /// Staged-row ceiling across all tables; the local bound that holds
     /// even when no queue/health source is wired. 0 = unbounded.
     std::size_t max_staged_rows = 1 << 20;
-    /// Staged-byte ceiling (row + column text plus the value, or the whole
-    /// arena on the zero-copy path) — the row ceiling alone would let a few
-    /// huge-value rows blow past the memory budget unrefused. 0 = unbounded.
+    /// Staged-byte ceiling, counted as the staged arenas' (request bodies')
+    /// sizes — the row ceiling alone would let a few huge-value rows blow
+    /// past the memory budget unrefused. 0 = unbounded.
     std::size_t max_staged_bytes = 256u << 20;
     /// Idempotency keys remembered per stripe (FIFO window). A keyed POST
     /// whose key is inside the window re-acks without re-staging; beyond
@@ -141,7 +133,7 @@ class IngestBridge {
     std::uint64_t duplicates = 0;      ///< keyed retries re-acked, not re-staged
   };
 
-  /// What a keyed staging call did.
+  /// What a staging call did.
   struct StageOutcome {
     std::size_t staged = 0;   ///< rows staged by this call (0 on a duplicate)
     bool duplicate = false;   ///< key was already inside the dedupe window
@@ -157,33 +149,25 @@ class IngestBridge {
   std::optional<IngestRefusal> admission() const;
   void report_refusal();
 
-  /// Stages owned records for `table`; returns the total rows now staged.
-  /// Thread-safe; the records become visible to the next wave's ingest.
-  std::size_t stage(const std::string& table, std::vector<IngestRecord> records);
-
-  /// Zero-copy staging: takes the request body itself as the backing arena
-  /// (moved, one allocation-free handoff per request) plus the spans
-  /// parse_ingest_spans() cut from it. The drain resolves spans to
+  /// Stages one request for `table`: takes the request body itself as the
+  /// backing arena (moved, one allocation-free handoff per request) plus the
+  /// spans parse_ingest_spans() cut from it. The drain resolves spans to
   /// string_views over the arena and hands them straight to put_batch — the
   /// row/column text is never copied between socket buffer and store.
-  std::size_t stage_spans(const std::string& table, std::string arena,
-                          std::vector<IngestSpan> spans);
-
-  /// Keyed (idempotent) variants: atomically check `key` against the dedupe
-  /// window and stage only when it is fresh. A duplicate returns
-  /// {staged: 0, duplicate: true} — the gateway re-acks without re-staging.
-  /// With dedupe disabled (window 0 or empty key) these degrade to the
-  /// unkeyed calls.
-  StageOutcome stage_keyed(const std::string& table, std::string_view key,
-                           std::vector<IngestRecord> records);
-  StageOutcome stage_spans_keyed(const std::string& table, std::string_view key,
-                                 std::string arena, std::vector<IngestSpan> spans);
+  ///
+  /// A non-empty `key` is checked against the dedupe window atomically with
+  /// the staging: a duplicate stages nothing and returns {staged: 0,
+  /// duplicate: true} — the gateway re-acks without re-staging. An empty
+  /// key, or dedupe disabled (window 0), stages unkeyed. Thread-safe; the
+  /// rows become visible to the next wave's ingest.
+  StageOutcome stage(const std::string& table, std::string_view key, std::string arena,
+                     std::vector<IngestSpan> spans);
 
   /// True when `key` for `table` sits inside the dedupe window. Lets the
   /// gateway re-ack a retried request *before* admission control — a retry
   /// of accepted work must not bounce off a 503. Pure query; the caller
-  /// acting on a hit counts it via report_duplicate() (the staging calls
-  /// count their own hits, so each re-acked request counts exactly once).
+  /// acting on a hit counts it via report_duplicate() (stage() counts its
+  /// own hits, so each re-acked request counts exactly once).
   bool is_duplicate(const std::string& table, std::string_view key) const;
   void report_duplicate();
 
@@ -208,11 +192,8 @@ class IngestBridge {
   Stats stats() const;
 
  private:
-  /// Everything staged for one table: legacy owned records and zero-copy
-  /// arena batches, drained together (records first — both paths append in
-  /// arrival order within themselves).
+  /// Everything staged for one table: arena batches in arrival order.
   struct TableStage {
-    std::vector<IngestRecord> records;
     std::vector<std::pair<std::string, std::vector<IngestSpan>>> batches;
     std::size_t rows = 0;
     std::size_t bytes = 0;
@@ -236,7 +217,6 @@ class IngestBridge {
   static std::size_t stripe_of(std::string_view table) noexcept {
     return std::hash<std::string_view>{}(table) & (kStripes - 1);
   }
-  std::size_t commit(std::size_t count, std::size_t bytes);
   /// Caller holds stripe.mutex. False = key already present (duplicate);
   /// true = accepted (recorded, window eviction applied). `durable` keys
   /// skip the fresh list (already stamped — seeding path).
@@ -254,18 +234,13 @@ class IngestBridge {
   std::atomic<std::uint64_t> duplicates_total_{0};
 };
 
-/// Parses a newline-delimited `row,col,value` ingest body. Returns the
-/// records, or sets *error to a line-numbered message (1-based) on the
-/// first malformed line. Empty lines are skipped; value must parse fully as
-/// a double.
-std::optional<std::vector<IngestRecord>> parse_ingest_body(std::string_view body,
-                                                           std::string* error);
-
-/// Zero-copy variant of parse_ingest_body: the same grammar, but the output
-/// is offset spans into `body` instead of owned copies — nothing is
-/// allocated per field, and the value parses via std::from_chars straight
-/// from the buffer. The caller keeps `body` alive (typically by moving it
-/// into IngestBridge::stage_spans as the arena).
+/// Parses a newline-delimited `row,col,value` ingest body into offset spans
+/// over `body` — nothing is allocated per field, and the value parses via
+/// std::from_chars straight from the buffer. Returns the spans, or sets
+/// *error to a line-numbered message (1-based) on the first malformed line.
+/// Empty lines are skipped; the value must parse fully as a finite double.
+/// The caller keeps `body` alive (typically by moving it into
+/// IngestBridge::stage as the arena).
 std::optional<std::vector<IngestSpan>> parse_ingest_spans(std::string_view body,
                                                           std::string* error);
 

@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/hashing.h"
+#include "workloads/read_table.h"
 
 namespace smartflux::workloads {
 
@@ -16,16 +17,6 @@ std::string source_row(std::size_t s) { return "f" + std::to_string(s); }
 
 std::string site_row(std::size_t x, std::size_t y) {
   return "s" + std::to_string(x) + "_" + std::to_string(y);
-}
-
-std::map<std::string, std::map<std::string, double>> read_table(ds::Client& client,
-                                                                const std::string& table) {
-  std::map<std::string, std::map<std::string, double>> out;
-  client.scan(ds::ContainerRef::whole_table(table),
-              [&out](const ds::RowKey& row, const ds::ColumnKey& col, double v) {
-                out[row][col] = v;
-              });
-  return out;
 }
 
 /// Simplified ground-motion attenuation: intensity at distance d from a

@@ -9,6 +9,7 @@
 
 #include "common/error.h"
 #include "common/hashing.h"
+#include "workloads/read_table.h"
 
 namespace smartflux::workloads {
 
@@ -22,16 +23,6 @@ std::string sensor_row(std::size_t x, std::size_t y) {
 
 std::string area_row(std::size_t ax, std::size_t ay) {
   return "a" + std::to_string(ax) + "_" + std::to_string(ay);
-}
-
-std::map<std::string, std::map<std::string, double>> read_table(ds::Client& client,
-                                                                const std::string& table) {
-  std::map<std::string, std::map<std::string, double>> out;
-  client.scan(ds::ContainerRef::whole_table(table),
-              [&out](const ds::RowKey& row, const ds::ColumnKey& col, double v) {
-                out[row][col] = v;
-              });
-  return out;
 }
 
 }  // namespace

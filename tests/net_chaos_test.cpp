@@ -81,6 +81,16 @@ struct Stack {
   std::unique_ptr<Server> server;
 };
 
+/// Stages `body` under `key` the way POST /ingest/<table> does: spans cut
+/// over the body, the body moved in as their arena.
+IngestBridge::StageOutcome stage_body(IngestBridge& bridge, const std::string& table,
+                                      std::string_view key, std::string body) {
+  auto spans = parse_ingest_spans(body, nullptr);
+  EXPECT_TRUE(spans.has_value()) << body;
+  if (!spans) return {};
+  return bridge.stage(table, key, std::move(body), std::move(*spans));
+}
+
 // --- Idempotent retries ----------------------------------------------------
 
 TEST(NetIdempotency, DuplicateKeyReacksWithoutRestaging) {
@@ -142,15 +152,15 @@ TEST(NetIdempotency, WindowEvictionForgetsOldKeys) {
   options.dedupe_table.clear();  // memory-only; eviction is what's under test
   IngestBridge bridge(options);
 
-  EXPECT_FALSE(bridge.stage_keyed("t", "k1", {{"r1", "c", 1.0}}).duplicate);
-  EXPECT_FALSE(bridge.stage_keyed("t", "k2", {{"r2", "c", 2.0}}).duplicate);
-  EXPECT_TRUE(bridge.stage_keyed("t", "k1", {{"r1", "c", 1.0}}).duplicate);
+  EXPECT_FALSE(stage_body(bridge, "t", "k1", "r1,c,1\n").duplicate);
+  EXPECT_FALSE(stage_body(bridge, "t", "k2", "r2,c,2\n").duplicate);
+  EXPECT_TRUE(stage_body(bridge, "t", "k1", "r1,c,1\n").duplicate);
 
   // k3 evicts k1 (FIFO window of 2); a k1 retry now re-stages.
-  EXPECT_FALSE(bridge.stage_keyed("t", "k3", {{"r3", "c", 3.0}}).duplicate);
+  EXPECT_FALSE(stage_body(bridge, "t", "k3", "r3,c,3\n").duplicate);
   EXPECT_FALSE(bridge.is_duplicate("t", "k1"));
   EXPECT_TRUE(bridge.is_duplicate("t", "k3"));
-  EXPECT_FALSE(bridge.stage_keyed("t", "k1", {{"r1", "c", 1.0}}).duplicate);
+  EXPECT_FALSE(stage_body(bridge, "t", "k1", "r1,c,1\n").duplicate);
 }
 
 // The crash matrix, extended with the kill-between-ack-and-commit window:
@@ -174,9 +184,7 @@ TEST(NetIdempotency, KeysSurviveCrashRecoverAtEveryKillPoint) {
     store->enable_durability(dir, dur);
     IngestBridge bridge;
 
-    ASSERT_FALSE(bridge.stage_keyed("sensors", "k0",
-                                    {{"r1", "o3", 1.5}, {"r2", "o3", 2.5}})
-                     .duplicate);
+    ASSERT_FALSE(stage_body(bridge, "sensors", "k0", "r1,o3,1.5\nr2,o3,2.5\n").duplicate);
     // 202 went out here; the crash lands between that ack and the commit.
     faults.add_disk_rule({.kind = DiskFaultKind::kCrash,
                           .file_tag = "wal",
@@ -208,9 +216,8 @@ TEST(NetIdempotency, KeysSurviveCrashRecoverAtEveryKillPoint) {
     } else {
       // Replay re-stages; the re-drain at the recovered wave overwrites any
       // torn pre-crash appends at the same timestamp.
-      EXPECT_FALSE(recovered.stage_keyed("sensors", "k0",
-                                         {{"r1", "o3", 1.5}, {"r2", "o3", 2.5}})
-                       .duplicate);
+      EXPECT_FALSE(
+          stage_body(recovered, "sensors", "k0", "r1,o3,1.5\nr2,o3,2.5\n").duplicate);
     }
     {
       ds::Client client(*store, resume);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "datastore/client.h"
@@ -319,75 +320,54 @@ TEST(NetWritev, PipelinedResponsesShareOneQueue) {
 
 // --- zero-copy ingest -----------------------------------------------------
 
-TEST(NetIngestSpans, SpanParseMatchesRecordParse) {
+TEST(NetIngestSpans, ParsesExpectedSpansAndLineNumberedErrors) {
+  // CRLF line ends, a blank line and an exponent value.
   const std::string body = "r1,c1,3.5\r\nr2,c2,-0.25\n\nrow3,col3,1e3\n";
-  std::string err_records, err_spans;
-  const auto records = parse_ingest_body(body, &err_records);
-  const auto spans = parse_ingest_spans(body, &err_spans);
-  ASSERT_TRUE(records.has_value());
-  ASSERT_TRUE(spans.has_value());
-  ASSERT_EQ(records->size(), spans->size());
-  for (std::size_t i = 0; i < records->size(); ++i) {
+  std::string error;
+  const auto spans = parse_ingest_spans(body, &error);
+  ASSERT_TRUE(spans.has_value()) << error;
+  ASSERT_EQ(spans->size(), 3u);
+  const struct {
+    const char* row;
+    const char* col;
+    double value;
+  } expected[] = {{"r1", "c1", 3.5}, {"r2", "c2", -0.25}, {"row3", "col3", 1000.0}};
+  for (std::size_t i = 0; i < spans->size(); ++i) {
     const IngestSpan& s = (*spans)[i];
-    EXPECT_EQ((*records)[i].row, body.substr(s.row_off, s.row_len));
-    EXPECT_EQ((*records)[i].column, body.substr(s.col_off, s.col_len));
-    EXPECT_EQ((*records)[i].value, s.value);
+    EXPECT_EQ(body.substr(s.row_off, s.row_len), expected[i].row) << i;
+    EXPECT_EQ(body.substr(s.col_off, s.col_len), expected[i].col) << i;
+    EXPECT_EQ(s.value, expected[i].value) << i;
   }
 
-  // Same diagnostics, same line numbers.
-  for (const char* bad : {"r1,c1\n", ",c,1\n", "r,,1\n", "a,b,xyz\n", "ok,ok,1\nr2,c2,\n"}) {
-    std::string e1, e2;
-    EXPECT_FALSE(parse_ingest_body(bad, &e1).has_value()) << bad;
-    EXPECT_FALSE(parse_ingest_spans(bad, &e2).has_value()) << bad;
-    EXPECT_EQ(e1, e2) << bad;
-  }
-}
-
-TEST(NetIngestSpans, StageSpansEquivalentToStage) {
-  const std::string body = "r1,o3,3.5\nr1,pm25,12\nr2,o3,4.25\nr2,pm25,0.125\n";
-
-  ds::DataStore store_records{2};
-  ds::DataStore store_spans{2};
-  IngestBridge via_records;
-  IngestBridge via_spans;
-
-  auto records = parse_ingest_body(body, nullptr);
-  ASSERT_TRUE(records.has_value());
-  via_records.stage("sensors", std::move(*records));
-
-  auto spans = parse_ingest_spans(body, nullptr);
-  ASSERT_TRUE(spans.has_value());
-  via_spans.stage_spans("sensors", std::string(body), std::move(*spans));
-
-  EXPECT_EQ(via_records.staged_rows(), via_spans.staged_rows());
-  {
-    ds::Client c1(store_records, 1);
-    via_records.make_ingest()(c1, 1);
-    ds::Client c2(store_spans, 1);
-    via_spans.make_ingest()(c2, 1);
-  }
-
-  const ds::FlatSnapshot s1 = store_records.snapshot_flat(ds::ContainerRef("sensors", "", ""));
-  const ds::FlatSnapshot s2 = store_spans.snapshot_flat(ds::ContainerRef("sensors", "", ""));
-  ASSERT_EQ(s1.size(), s2.size());
-  for (std::size_t i = 0; i < s1.size(); ++i) {
-    EXPECT_EQ(*s1.entries()[i].row, *s2.entries()[i].row);
-    EXPECT_EQ(*s1.entries()[i].col, *s2.entries()[i].col);
-    EXPECT_EQ(s1.entries()[i].value, s2.entries()[i].value);
+  const std::pair<const char*, const char*> malformed[] = {
+      {"r1,c1\n", "line 1: expected row,col,value"},
+      {",c,1\n", "line 1: expected row,col,value"},
+      {"r,,1\n", "line 1: expected row,col,value"},
+      {"a,b,xyz\n", "line 1: malformed value 'xyz'"},
+      {"ok,ok,1\nr2,c2,\n", "line 2: malformed value ''"},
+  };
+  for (const auto& [bad, message] : malformed) {
+    std::string e;
+    EXPECT_FALSE(parse_ingest_spans(bad, &e).has_value()) << bad;
+    EXPECT_EQ(e, message) << bad;
   }
 }
 
-TEST_F(NetStreaming, LegacyCopyIngestPathStillServes) {
-  GatewayOptions gateway;
-  gateway.zero_copy_ingest = false;
-  start_server({}, std::move(gateway));
+TEST_F(NetStreaming, NonFiniteIngestValuesAre400) {
+  start_server({});
   Client client = connect();
-  const ClientResponse staged = client.request("POST", "/ingest/sensors", "r1,c1,2.5\n");
-  ASSERT_EQ(staged.status, 202);
-  EXPECT_NE(staged.body.find("\"staged\":1"), std::string::npos);
-  ds::Client ds_client(store_, 1);
-  bridge_.make_ingest()(ds_client, 1);
-  EXPECT_EQ(client.request("GET", "/get?table=sensors&row=r1&col=c1").body, "{\"value\":2.5}\n");
+  const std::pair<const char*, const char*> bodies[] = {
+      {"r1,c1,1\nr2,c1,nan\n", "line 2: malformed value 'nan'"},
+      {"r1,c1,inf\n", "line 1: malformed value 'inf'"},
+      {"r1,c1,-Infinity\n", "line 1: malformed value '-Infinity'"},
+  };
+  for (const auto& [body, message] : bodies) {
+    const ClientResponse response = client.request("POST", "/ingest/sensors", body);
+    EXPECT_EQ(response.status, 400) << body;
+    EXPECT_NE(response.body.find(message), std::string::npos) << response.body;
+  }
+  EXPECT_EQ(bridge_.staged_rows(), 0u);
+  EXPECT_EQ(bridge_.stats().rows_staged, 0u);
 }
 
 // --- POST /workflow -------------------------------------------------------
