@@ -105,8 +105,19 @@ TEST(ContainerTracker, ScopedToColumn) {
                            AccumulationMode::kCumulative);
   tracker.reset(store);
   store.put("t", "r", "a", 1, 5.0);
+  store.put("t", "r", "b", 1, 100.0);  // other column: invisible
+  EXPECT_EQ(tracker.observe(store), 5.0);
+}
+
+TEST(ContainerTracker, IgnoresOtherContainers) {
+  ds::DataStore store;
+  ContainerTracker tracker(ds::ContainerRef::column("t", "a"),
+                           make_impact_metric(ImpactKind::kMagnitudeCount),
+                           AccumulationMode::kCumulative);
+  tracker.reset(store);
   store.put("t", "r", "b", 1, 100.0);      // other column: invisible
   store.put("other", "r", "a", 1, 100.0);  // other table: invisible
+  store.put("t", "r", "a", 1, 5.0);
   EXPECT_EQ(tracker.observe(store), 5.0);
 }
 
@@ -121,9 +132,8 @@ TEST(ContainerTracker, DeleteCountsAsChangeToZero) {
   EXPECT_EQ(tracker.observe(store), 7.0);  // |0 - 7| * 1
 }
 
-TEST(ContainerTracker, OnlyTheWaveEndStateCounts) {
-  // Snapshot semantics: writes inside one wave collapse to first-old vs
-  // last-new, and a write back to the pre-wave value is no change at all.
+TEST(ContainerTracker, MultipleWritesWithinWaveCollapse) {
+  // Snapshot semantics: within one wave, only first-old vs last-new counts.
   ds::DataStore store;
   store.put("t", "r", "c", 1, 10.0);
   ContainerTracker tracker(ds::ContainerRef::whole_table("t"),
@@ -133,9 +143,19 @@ TEST(ContainerTracker, OnlyTheWaveEndStateCounts) {
   store.put("t", "r", "c", 2, 50.0);
   store.put("t", "r", "c", 2, 11.0);
   EXPECT_EQ(tracker.observe(store), 1.0);  // |11 - 10|, not |50-10| + |11-50|
-  store.put("t", "r", "c", 3, 99.0);
-  store.put("t", "r", "c", 3, 11.0);
-  EXPECT_EQ(tracker.observe(store), 1.0);
+}
+
+TEST(ContainerTracker, WriteBackToOriginalValueIsNoChange) {
+  ds::DataStore store;
+  store.put("t", "r", "c", 1, 10.0);
+  ContainerTracker tracker(ds::ContainerRef::whole_table("t"),
+                           make_impact_metric(ImpactKind::kMagnitudeCount),
+                           AccumulationMode::kCumulative);
+  tracker.reset(store);
+  store.put("t", "r", "c", 2, 99.0);
+  store.put("t", "r", "c", 2, 10.0);  // back to the pre-wave value
+  const double before = tracker.accumulated();
+  EXPECT_EQ(tracker.observe(store), before);
   EXPECT_EQ(tracker.last_delta(), 0.0);
 }
 
