@@ -19,7 +19,10 @@
 // every response; per-request latency is measured send→response-read under
 // the full concurrent load. Each phase runs three times interleaved (full
 // mode) and keeps its best run, so every loop count sees the same thermal /
-// scheduler conditions.
+// scheduler conditions. Each phase also reports cpu_us_per_request, the
+// process CPU time (CLOCK_PROCESS_CPUTIME_ID) per request: the clients share
+// the process, so it covers the whole loopback round trip, and host steal
+// does not move it the way it moves req/s.
 //
 // Self-checks (exit 1): every ingest response is 202, every posted row is
 // drained into the store by the final wave, a spot cell is readable over
@@ -37,6 +40,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,6 +73,13 @@ constexpr double kMinRequestsPerSec1Loop = 10'000.0;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// CPU time consumed so far by every thread of this process, in µs.
+double process_cpu_us() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) * 1e-3;
 }
 
 double micros_since(Clock::time_point start) {
@@ -120,6 +131,9 @@ struct IngestPhaseResult {
   double rows_per_sec = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
+  /// Process CPU time per request over the phase. Host steal slows the wall
+  /// clock but not this, so it tracks hot-path cost where req/s cannot.
+  double cpu_us_per_request = 0.0;
   std::size_t requests = 0;
   std::size_t rows = 0;
   std::size_t waves = 0;
@@ -160,6 +174,7 @@ IngestPhaseResult run_ingest_phase(std::size_t loop_threads, std::size_t rounds)
   std::atomic<bool> feeders_done{false};
 
   const auto wall_start = Clock::now();
+  const double cpu_start_us = process_cpu_us();
   std::vector<std::thread> feeders;
   feeders.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -217,6 +232,7 @@ IngestPhaseResult run_ingest_phase(std::size_t loop_threads, std::size_t rounds)
   feeders_done.store(true, std::memory_order_release);
   driver.join();
   const double wall_seconds = seconds_since(wall_start);
+  const double cpu_us = process_cpu_us() - cpu_start_us;
 
   IngestPhaseResult out;
   std::size_t bad_status = 0;
@@ -233,6 +249,7 @@ IngestPhaseResult run_ingest_phase(std::size_t loop_threads, std::size_t rounds)
   out.rows_per_sec = static_cast<double>(out.rows) / wall_seconds;
   out.p50_us = quantile(latencies, 0.50);
   out.p99_us = quantile(latencies, 0.99);
+  out.cpu_us_per_request = cpu_us / static_cast<double>(std::max<std::size_t>(out.requests, 1));
   out.waves = waves_run;
 
   if (bad_status != 0) {
@@ -385,10 +402,10 @@ ScanPhaseResult run_scan_phase(std::size_t cells) {
 
 void print_ingest_phase(const char* key, const IngestPhaseResult& r, const char* trailing) {
   std::printf("    \"%s\": {\"requests_per_sec\": %.0f, \"rows_per_sec\": %.0f, "
-              "\"p50_us\": %.0f, \"p99_us\": %.0f, \"requests\": %zu, \"waves\": %zu, "
-              "\"wall_seconds\": %.3f}%s\n",
-              key, r.requests_per_sec, r.rows_per_sec, r.p50_us, r.p99_us, r.requests, r.waves,
-              r.wall_seconds, trailing);
+              "\"p50_us\": %.0f, \"p99_us\": %.0f, \"cpu_us_per_request\": %.1f, "
+              "\"requests\": %zu, \"waves\": %zu, \"wall_seconds\": %.3f}%s\n",
+              key, r.requests_per_sec, r.rows_per_sec, r.p50_us, r.p99_us, r.cpu_us_per_request,
+              r.requests, r.waves, r.wall_seconds, trailing);
 }
 
 }  // namespace
@@ -445,6 +462,9 @@ int main(int argc, char** argv) {
   std::printf("  \"rows_per_request\": %zu,\n", kRowsPerRequest * 3);
   std::printf("  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
   std::printf("  \"reps\": %zu,\n", reps);
+  std::printf("  \"cpu_us_per_request_note\": \"process CPU time (CLOCK_PROCESS_CPUTIME_ID) "
+              "per request over a phase; the feeder clients and the wave engine share the "
+              "process, so it covers the whole loopback round trip, not the server alone\",\n");
   std::printf("  \"ingest\": {\n");
   print_ingest_phase(configs[0].key, best[0], ",");
   print_ingest_phase(configs[1].key, best[1], ",");

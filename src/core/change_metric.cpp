@@ -115,11 +115,11 @@ std::unique_ptr<ChangeMetric> make_error_metric(ErrorKind kind, double value_ran
 namespace {
 
 /// Three-way order of two flat entries by (row, column) string order, with
-/// the same-keyspace fast path: equal ids from the same table are the same
-/// element, no string touch needed.
-int compare_entries(const ds::FlatEntry& a, const ds::FlatEntry& b,
-                    bool same_keyspace) noexcept {
-  if (same_keyspace && a.id == b.id) return 0;
+/// the interned-key fast path: pointer-equal keys are the same element (the
+/// snapshots' keepalives stop the storage from being reused), no string
+/// touch needed.
+int compare_entries(const ds::FlatEntry& a, const ds::FlatEntry& b) noexcept {
+  if (a.row == b.row && a.col == b.col) return 0;
   if (const int r = a.row->compare(*b.row); r != 0) return r;
   return a.col->compare(*b.col);
 }
@@ -132,8 +132,6 @@ double compute_change(const ds::FlatSnapshot& current, const ds::FlatSnapshot& p
   double previous_total = 0.0;
   for (const ds::FlatEntry& e : previous.entries()) previous_total += e.value;
 
-  const bool same_keyspace =
-      current.keyspace() != nullptr && current.keyspace() == previous.keyspace();
   auto cur = current.begin();
   auto prev = previous.begin();
   while (cur != current.end() || prev != previous.end()) {
@@ -144,7 +142,7 @@ double compute_change(const ds::FlatSnapshot& current, const ds::FlatSnapshot& p
       metric.update(0.0, prev->value);  // delete
       ++prev;
     } else {
-      const int cmp = compare_entries(*cur, *prev, same_keyspace);
+      const int cmp = compare_entries(*cur, *prev);
       if (cmp < 0) {
         metric.update(cur->value, 0.0);  // insert
         ++cur;

@@ -113,9 +113,9 @@ double compute_change(const std::map<std::string, double>& current,
                       const std::map<std::string, double>& previous, ChangeMetric& metric);
 
 /// Same diff over two flat snapshots (merge-join of the sorted entry
-/// vectors): no per-element allocation, and when both snapshots come from
-/// the same table (`keyspace()` equal) element identity is decided by one
-/// integer compare instead of string comparisons. Produces the same values
+/// vectors): no per-element allocation, and an element whose interned key
+/// pointers are equal in both snapshots (same table, any shard count) is
+/// matched by two pointer compares instead of string comparisons. Produces the same values
 /// as the map-based overload — classification and visit order match —
 /// proven by the flat-vs-map equivalence tests.
 double compute_change(const ds::FlatSnapshot& current, const ds::FlatSnapshot& previous,

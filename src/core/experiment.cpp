@@ -166,8 +166,8 @@ ExperimentResult Experiment::evaluate(
       // Measured error: adaptive (possibly stale) output vs shadow output.
       double measured = 0.0;
       for (const auto& container : step.outputs) {
-        // Different stores, so the merge-join falls back to string compares
-        // (no shared keyspace) — still allocation-free per element.
+        // Different stores share no interned key pointers, so the merge-join
+        // compares strings — still allocation-free per element.
         const auto fresh = shadow_store.snapshot_flat(container);
         const auto stale = adaptive_store.snapshot_flat(container);
         auto metric = make_error_metric(options_.smartflux.monitor.error,

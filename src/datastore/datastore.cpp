@@ -42,11 +42,8 @@ struct DataStore::Durability {
 
   std::string dir;
   DurabilityOptions options;
-  std::size_t shards = 1;
-  std::vector<std::unique_ptr<Family>> families;  ///< size == shards
-  /// Store-global lsn counter shared by every family (shards > 1 only; the
-  /// unsharded store keeps the writer's internal record count as its lsn so
-  /// the legacy fault-injection seq space is unchanged).
+  std::vector<std::unique_ptr<Family>> families;  ///< one per shard
+  /// Store-global lsn counter shared by every family.
   std::atomic<std::uint64_t> next_lsn{0};
 
   std::mutex meta_mutex;                    ///< rank kLockRankDurabilityMeta
@@ -60,36 +57,27 @@ struct DataStore::Durability {
   obs::Histogram* wave_commit_duration = nullptr;
   obs::Counter* checkpoints = nullptr;
   obs::Histogram* checkpoint_duration = nullptr;
-  bool metrics_wired = false;
 
-  std::atomic<std::uint64_t>* lsn_source() noexcept {
-    return shards == 1 ? nullptr : &next_lsn;
-  }
-  /// Disk-fault schedule tag of one family: the legacy "wal" for the
-  /// unsharded store, "wal-s<k>" per shard otherwise.
-  std::string fault_tag(std::size_t shard) const {
-    return shards == 1 ? std::string("wal") : "wal-s" + std::to_string(shard);
-  }
-  std::string segment_path(std::size_t shard, std::uint64_t seq) const {
-    const std::string name =
-        shards == 1 ? wal_segment_name(seq) : sharded_wal_segment_name(shard, seq);
-    return (std::filesystem::path(dir) / name).string();
-  }
   std::string checkpoint_path(std::uint64_t cut) const {
     return (std::filesystem::path(dir) / checkpoint_file_name(cut)).string();
   }
 
-  /// Opens one writer per shard at segment `seq`. `first_record_seq` only
-  /// matters for the unsharded store (lsn continuity across recovery).
-  void open_writers(std::uint64_t seq, std::uint64_t first_record_seq) {
+  /// (Re)opens family `shard`'s writer on segment `seq`, tagged "wal-s<k>"
+  /// for the disk-fault schedule.
+  void open_writer(Family& family, std::size_t shard, std::uint64_t seq) {
+    family.writer = std::make_unique<WalWriter>(
+        (std::filesystem::path(dir) / sharded_wal_segment_name(shard, seq)).string(),
+        options.flush, options.fault_injector, next_lsn, "wal-s" + std::to_string(shard));
+    family.writer->set_obs(&family.obs);
+  }
+
+  /// Opens one family per shard at segment `seq`.
+  void open_families(std::size_t shards, std::uint64_t seq) {
     families.clear();
     families.reserve(shards);
     for (std::size_t shard = 0; shard < shards; ++shard) {
-      auto family = std::make_unique<Family>();
-      family->writer = std::make_unique<WalWriter>(segment_path(shard, seq), options.flush,
-                                                   options.fault_injector, first_record_seq,
-                                                   lsn_source(), fault_tag(shard));
-      families.push_back(std::move(family));
+      families.push_back(std::make_unique<Family>());
+      open_writer(*families.back(), shard, seq);
     }
   }
 
@@ -104,10 +92,7 @@ struct DataStore::Durability {
     std::vector<std::unique_lock<std::mutex>> locks;
     locks.reserve(families.size());
     for (auto& family : families) locks.emplace_back(family->mutex);
-    const std::optional<std::uint64_t> lsn =
-        shards == 1 ? std::nullopt
-                    : std::optional<std::uint64_t>(
-                          next_lsn.fetch_add(1, std::memory_order_relaxed));
+    const std::uint64_t lsn = next_lsn.fetch_add(1, std::memory_order_relaxed);
     for (auto& family : families) append_one(*family->writer, lsn);
   }
 
@@ -125,15 +110,14 @@ struct DataStore::Durability {
       family.obs.bytes = bytes;
       family.obs.syncs = syncs;
       family.obs.fsync_duration = fsync_duration;
-      // Per-shard byte series only when actually sharded: one series per
-      // shard is bounded cardinality, but the unsharded default would just
+      // Per-shard byte series only with more than one shard: one series per
+      // shard is bounded cardinality, but at one shard it would just
       // duplicate sf_ds_wal_bytes_total (see DESIGN.md §9).
       family.obs.shard_bytes =
-          shards == 1 ? nullptr
-                      : &reg.counter("sf_ds_wal_shard_bytes_total",
-                                     {{"shard", std::to_string(shard)}},
-                                     "WAL bytes appended per shard family");
-      if (family.writer) family.writer->set_obs(&family.obs);
+          families.size() == 1 ? nullptr
+                               : &reg.counter("sf_ds_wal_shard_bytes_total",
+                                              {{"shard", std::to_string(shard)}},
+                                              "WAL bytes appended per shard family");
     }
     wave_commits =
         &reg.counter("sf_ds_wave_commits_total", {}, "Wave-commit records stamped");
@@ -147,19 +131,14 @@ struct DataStore::Durability {
     checkpoint_duration =
         &reg.histogram("sf_ds_checkpoint_duration_seconds", obs::duration_buckets(), {},
                        "Checkpoint capture + write duration");
-    metrics_wired = true;
   }
 
   void unwire_metrics() {
-    for (auto& family : families) {
-      family->obs = WalObs{};
-      if (family->writer) family->writer->set_obs(nullptr);
-    }
+    for (auto& family : families) family->obs = WalObs{};
     wave_commits = nullptr;
     wave_commit_duration = nullptr;
     checkpoints = nullptr;
     checkpoint_duration = nullptr;
-    metrics_wired = false;
   }
 };
 
@@ -181,8 +160,8 @@ struct DataStore::StoreObs {
   obs::MetricsRegistry* registry = nullptr;  ///< for late durability wiring
   std::uint64_t sample_mask = 63;
   /// Per-shard routed-op counters + imbalance gauge (max/mean of the shard
-  /// op counts, refreshed at each wave commit). Empty/null on the unsharded
-  /// default — no extra series unless sharding is actually on (§9 note).
+  /// op counts, refreshed at each wave commit). Empty/null at one shard —
+  /// no extra series unless the store has several shards (§9 note).
   std::vector<obs::Counter*> shard_ops;
   obs::Gauge* shard_imbalance = nullptr;
   /// Soft memory ceiling series (registered eagerly; cheap, and the gauges
@@ -247,6 +226,15 @@ struct DataStore::StoreObs {
                                    .count()) *
            1e-9;
   }
+
+  /// Closes one timed scan that started at t0: its latency, plus a
+  /// "ds_scan:<table>" span when a tracer is attached.
+  void observe_scan(const TableName& table, std::chrono::steady_clock::time_point t0) {
+    scan_latency->observe(seconds_since(t0));
+    if (tracer != nullptr) {
+      tracer->record("ds_scan:" + table, "ds", 0, t0, std::chrono::steady_clock::now() - t0);
+    }
+  }
 };
 
 namespace {
@@ -260,7 +248,7 @@ std::uint64_t next_registry_gen() noexcept {
 }  // namespace
 
 DataStore::DataStore(std::size_t max_versions, ShardOptions shard_options)
-    : max_versions_(max_versions), shard_options_(shard_options), ring_(shard_options) {
+    : max_versions_(max_versions), ring_(shard_options) {
   SF_CHECK(max_versions >= 1, "DataStore must retain at least one version");
   publish_tables(std::make_shared<const TableMap>());
   registry_gen_.store(next_registry_gen(), std::memory_order_release);
@@ -332,7 +320,7 @@ std::shared_ptr<DataStore::TableEntry> DataStore::entry_for(const TableName& tab
     // Logged before the new registry snapshot is published, so the create
     // record precedes every put record for this table in each family's log.
     // If the append throws, the table was never created.
-    durability_->broadcast([&table](WalWriter& writer, std::optional<std::uint64_t> lsn) {
+    durability_->broadcast([&table](WalWriter& writer, std::uint64_t lsn) {
       writer.append_create_table(table, lsn);
     });
   }
@@ -401,90 +389,58 @@ void DataStore::put_batch(const TableName& table, Timestamp ts, std::span<const 
   std::vector<std::pair<double, bool>> previous;
   if (want_mutations) previous.resize(ops.size());
 
-  if (shards() == 1) {
-    // Unsharded fast path: one lock, one WAL record — byte-identical
-    // behavior (and log) to the pre-sharding store.
-    Slot& slot = *entry->slots[0];
-    LockRankScope table_rank(kLockRankTable);
-    std::unique_lock lock(slot.mutex);
-    std::size_t applied = 0;
-    try {
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        const auto prev = slot.table.put(ops[i].row, ops[i].column, ts, ops[i].value);
-        ++applied;
-        if (want_mutations) previous[i] = {prev.value_or(0.0), prev.has_value()};
-      }
-    } catch (...) {
-      // A mid-batch failure (timestamp regression) leaves a prefix applied;
-      // log exactly that prefix so replay reproduces the in-memory state.
-      if (durability_ && applied > 0) {
-        auto& family = *durability_->families[0];
-        LockRankScope wal_rank(kLockRankWal);
-        std::lock_guard wal_lock(family.mutex);
-        family.writer->append_batch(table, ts, ops.first(applied));
-      }
-      throw;
-    }
-    if (durability_) {
-      auto& family = *durability_->families[0];
-      LockRankScope wal_rank(kLockRankWal);
-      std::lock_guard wal_lock(family.mutex);
-      family.writer->append_batch(table, ts, ops);
-    }
-  } else {
-    // Split by shard with a stable counting sort, on the calling thread:
-    // original order within each sub-batch, so the same-cell-twice-in-one-
-    // batch case keeps its order (equal rows always share a shard). Each
-    // sub-batch applies under its own slot lock and logs ONE record to its
-    // own WAL family; whoever applies it only reads these arrays, so the
-    // helpers allocate nothing.
-    const std::size_t n_shards = shards();
-    std::vector<std::uint32_t> route(ops.size());
-    std::vector<std::size_t> begin(n_shards + 1, 0);
+  // Split by shard with a stable counting sort, on the calling thread:
+  // original order within each sub-batch, so the same-cell-twice-in-one-
+  // batch case keeps its order (equal rows always share a shard). Each
+  // sub-batch applies under its own slot lock and logs ONE record to its own
+  // WAL family; whoever applies it only reads these arrays, so the helpers
+  // allocate nothing. At one shard this is one sub-batch equal to `ops`.
+  const std::size_t n_shards = shards();
+  std::vector<std::uint32_t> route(ops.size());
+  std::vector<std::size_t> begin(n_shards + 1, 0);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    route[i] = static_cast<std::uint32_t>(ring_.shard_of(ops[i].row));
+    ++begin[route[i] + 1];
+  }
+  for (std::size_t shard = 0; shard < n_shards; ++shard) begin[shard + 1] += begin[shard];
+  std::vector<PutOp> sorted(ops.size());
+  std::vector<std::uint32_t> origin(ops.size());  // sorted position -> op index
+  {
+    std::vector<std::size_t> next(begin.begin(), begin.end() - 1);
     for (std::size_t i = 0; i < ops.size(); ++i) {
-      route[i] = static_cast<std::uint32_t>(ring_.shard_of(ops[i].row));
-      ++begin[route[i] + 1];
+      const std::size_t at = next[route[i]]++;
+      sorted[at] = ops[i];
+      origin[at] = static_cast<std::uint32_t>(i);
     }
-    for (std::size_t shard = 0; shard < n_shards; ++shard) begin[shard + 1] += begin[shard];
-    std::vector<PutOp> sorted(ops.size());
-    std::vector<std::uint32_t> origin(ops.size());  // sorted position -> op index
-    {
-      std::vector<std::size_t> next(begin.begin(), begin.end() - 1);
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        const std::size_t at = next[route[i]]++;
-        sorted[at] = ops[i];
-        origin[at] = static_cast<std::uint32_t>(i);
-      }
+  }
+  std::vector<std::size_t> hit;  // shards with a non-empty sub-batch
+  for (std::size_t shard = 0; shard < n_shards; ++shard) {
+    if (begin[shard + 1] > begin[shard]) hit.push_back(shard);
+  }
+  if (obs_ && !obs_->shard_ops.empty()) {
+    for (const std::size_t shard : hit) {
+      obs_->shard_ops[shard]->inc(begin[shard + 1] - begin[shard]);
     }
-    std::vector<std::size_t> hit;  // shards with a non-empty sub-batch
-    for (std::size_t shard = 0; shard < n_shards; ++shard) {
-      if (begin[shard + 1] > begin[shard]) hit.push_back(shard);
-    }
-    if (obs_ && !obs_->shard_ops.empty()) {
-      for (const std::size_t shard : hit) {
-        obs_->shard_ops[shard]->inc(begin[shard + 1] - begin[shard]);
-      }
-    }
-    auto* previous_out = want_mutations ? &previous : nullptr;
-    const auto apply = [&](std::size_t shard) {
-      const std::size_t first = begin[shard];
-      const std::size_t count = begin[shard + 1] - first;
-      apply_shard_batch(table, *entry, shard, ts,
-                        std::span<const PutOp>(sorted).subspan(first, count),
-                        std::span<const std::uint32_t>(origin).subspan(first, count), previous_out);
-    };
-    if (hit.size() > 1 && ops.size() >= shard_options_.parallel_batch_min_ops) {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(hit.size());
-      for (const std::size_t shard : hit) tasks.push_back([&apply, shard] { apply(shard); });
-      // Caller-participating run_all: safe even when the calling step itself
-      // runs on a pool. Rethrows the first failure in shard order; other
-      // shards' sub-batches still complete (each one applied + logged
-      // atomically, so WAL and memory stay in agreement).
-      helper_pool().run_all(std::move(tasks));
-    } else {
-      for (const std::size_t shard : hit) apply(shard);
-    }
+  }
+  auto* previous_out = want_mutations ? &previous : nullptr;
+  const auto apply = [&](std::size_t shard) {
+    const std::size_t first = begin[shard];
+    const std::size_t count = begin[shard + 1] - first;
+    apply_shard_batch(table, *entry, shard, ts,
+                      std::span<const PutOp>(sorted).subspan(first, count),
+                      std::span<const std::uint32_t>(origin).subspan(first, count), previous_out);
+  };
+  if (hit.size() > 1 && ops.size() >= kParallelBatchMinOps) {
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(hit.size());
+    for (const std::size_t shard : hit) tasks.push_back([&apply, shard] { apply(shard); });
+    // Caller-participating run_all: safe even when the calling step itself
+    // runs on a pool. Rethrows the first failure in shard order; other
+    // shards' sub-batches still complete (each one applied + logged
+    // atomically, so WAL and memory stay in agreement).
+    helper_pool().run_all(std::move(tasks));
+  } else {
+    for (const std::size_t shard : hit) apply(shard);
   }
 
   if (want_mutations) {
@@ -523,8 +479,8 @@ void DataStore::apply_shard_batch(const TableName& table, TableEntry& entry, std
       }
     }
   } catch (...) {
-    // Same prefix rule as the unsharded batch, per shard: log exactly what
-    // this slot applied before the failure.
+    // A mid-batch failure (timestamp regression) leaves a prefix applied;
+    // log exactly that prefix so replay reproduces the in-memory state.
     if (durability_ && applied > 0) {
       auto& family = *durability_->families[shard];
       LockRankScope wal_rank(kLockRankWal);
@@ -633,43 +589,48 @@ std::optional<double> DataStore::get_previous_at(const TableName& table, const R
   return slot.table.get_previous_at(row, column, ts);
 }
 
-void DataStore::scan_slots_merged(
-    const TableEntry& entry, const ContainerRef& container, std::optional<Timestamp> at,
-    const std::function<void(const RowKey&, const ColumnKey&, double)>& visit) const {
-  // Lock every slot shared in index order (same-rank order rule), gather the
-  // matches, then restore global (row, column) order — each slot only holds
-  // its own arc of the ring, so the merged order is not free like it is for
-  // one slot. Sorting the union keeps the slot critical sections short.
-  struct Hit {
-    const std::string* row;
-    const std::string* col;
-    double value;
-  };
-  std::vector<Hit> hits;
+std::vector<FlatEntry> DataStore::gather(const TableEntry& entry, const ContainerRef& container,
+                                         std::optional<Timestamp> at) const {
+  // Lock every slot shared in index order (same-rank order rule) and collect
+  // the matches. Each slot yields its own arc of the ring already in (row,
+  // column) order, so only a gather that more than one slot contributed to
+  // needs the sort that restores global order. Sorting after the unlock
+  // keeps the slot critical sections short.
+  std::vector<FlatEntry> out;
   const bool unfiltered = !container.has_column() && !container.has_row_prefix();
+  std::size_t contributing_slots = 0;
   {
     LockRankScope table_rank(kLockRankTable);
     std::vector<std::shared_lock<std::shared_mutex>> locks;
     locks.reserve(entry.slots.size());
     for (const auto& slot : entry.slots) locks.emplace_back(slot->mutex);
+    if (unfiltered) {
+      std::size_t cells = 0;
+      for (const auto& slot : entry.slots) cells += slot->table.cell_count();
+      out.reserve(cells);
+    }
     for (const auto& slot : entry.slots) {
-      const auto gather = [&](const Table::CellView& cv) {
+      const std::size_t before = out.size();
+      const auto keep = [&](const Table::CellView& cv) {
         if (unfiltered || container.matches_cell(*cv.row, *cv.col)) {
-          hits.push_back(Hit{cv.row, cv.col, cv.value});
+          out.push_back(FlatEntry{cv.row, cv.col, cv.value});
         }
       };
       if (at) {
-        slot->table.scan_cells_at(*at, gather);
+        slot->table.scan_cells_at(*at, keep);
       } else {
-        slot->table.scan_cells(gather);
+        slot->table.scan_cells(keep);
       }
+      if (out.size() > before) ++contributing_slots;
     }
   }
-  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
-    const int cmp = a.row->compare(*b.row);
-    return cmp != 0 ? cmp < 0 : a.col->compare(*b.col) < 0;
-  });
-  for (const Hit& hit : hits) visit(*hit.row, *hit.col, hit.value);
+  if (contributing_slots > 1) {
+    std::sort(out.begin(), out.end(), [](const FlatEntry& a, const FlatEntry& b) {
+      const int cmp = a.row->compare(*b.row);
+      return cmp != 0 ? cmp < 0 : a.col->compare(*b.col) < 0;
+    });
+  }
+  return out;
 }
 
 void DataStore::scan_container(
@@ -680,29 +641,13 @@ void DataStore::scan_container(
     obs_->scans->inc();
     t0 = std::chrono::steady_clock::now();
   }
-  const auto entry = find_entry(container.table());
-  if (entry != nullptr) {
-    if (entry->slots.size() == 1) {
-      const bool unfiltered = !container.has_column() && !container.has_row_prefix();
-      Slot& slot = *entry->slots[0];
-      LockRankScope table_rank(kLockRankTable);
-      std::shared_lock lock(slot.mutex);
-      slot.table.scan_cells([&](const Table::CellView& cv) {
-        if (unfiltered || container.matches_cell(*cv.row, *cv.col)) {
-          visit(*cv.row, *cv.col, cv.value);
-        }
-      });
-    } else {
-      scan_slots_merged(*entry, container, std::nullopt, visit);
+  // `entry` keeps the interned keys alive while the visitor runs unlocked.
+  if (const auto entry = find_entry(container.table())) {
+    for (const FlatEntry& e : gather(*entry, container, std::nullopt)) {
+      visit(*e.row, *e.col, e.value);
     }
   }
-  if (obs_) {
-    obs_->scan_latency->observe(StoreObs::seconds_since(t0));
-    if (obs_->tracer != nullptr) {
-      obs_->tracer->record("ds_scan:" + container.table(), "ds", 0, t0,
-                           std::chrono::steady_clock::now() - t0);
-    }
-  }
+  if (obs_) obs_->observe_scan(container.table(), t0);
 }
 
 void DataStore::scan_container_at(
@@ -711,19 +656,7 @@ void DataStore::scan_container_at(
   if (obs_) obs_->scans->inc();
   const auto entry = find_entry(container.table());
   if (entry == nullptr) return;
-  if (entry->slots.size() == 1) {
-    const bool unfiltered = !container.has_column() && !container.has_row_prefix();
-    Slot& slot = *entry->slots[0];
-    LockRankScope table_rank(kLockRankTable);
-    std::shared_lock lock(slot.mutex);
-    slot.table.scan_cells_at(ts, [&](const Table::CellView& cv) {
-      if (unfiltered || container.matches_cell(*cv.row, *cv.col)) {
-        visit(*cv.row, *cv.col, cv.value);
-      }
-    });
-  } else {
-    scan_slots_merged(*entry, container, ts, visit);
-  }
+  for (const FlatEntry& e : gather(*entry, container, ts)) visit(*e.row, *e.col, e.value);
 }
 
 FlatSnapshot DataStore::snapshot_flat(const ContainerRef& container) const {
@@ -734,53 +667,8 @@ FlatSnapshot DataStore::snapshot_flat(const ContainerRef& container) const {
   }
   const auto entry = find_entry(container.table());
   FlatSnapshot out;
-  if (entry != nullptr) {
-    const bool unfiltered = !container.has_column() && !container.has_row_prefix();
-    std::vector<FlatEntry> entries;
-    if (entry->slots.size() == 1) {
-      Slot& slot = *entry->slots[0];
-      {
-        LockRankScope table_rank(kLockRankTable);
-        std::shared_lock lock(slot.mutex);
-        entries.reserve(slot.table.cell_count());
-        slot.table.scan_cells([&](const Table::CellView& cv) {
-          if (unfiltered || container.matches_cell(*cv.row, *cv.col)) {
-            entries.push_back(FlatEntry{cv.id, cv.row, cv.col, cv.value});
-          }
-        });
-      }
-      out = FlatSnapshot(entry, &slot.table, std::move(entries));
-    } else {
-      {
-        LockRankScope table_rank(kLockRankTable);
-        std::vector<std::shared_lock<std::shared_mutex>> locks;
-        locks.reserve(entry->slots.size());
-        for (const auto& slot : entry->slots) locks.emplace_back(slot->mutex);
-        for (const auto& slot : entry->slots) {
-          slot->table.scan_cells([&](const Table::CellView& cv) {
-            if (unfiltered || container.matches_cell(*cv.row, *cv.col)) {
-              entries.push_back(FlatEntry{cv.id, cv.row, cv.col, cv.value});
-            }
-          });
-        }
-      }
-      std::sort(entries.begin(), entries.end(), [](const FlatEntry& a, const FlatEntry& b) {
-        const int cmp = a.row->compare(*b.row);
-        return cmp != 0 ? cmp < 0 : a.col->compare(*b.col) < 0;
-      });
-      // keyspace = nullptr: packed interner ids are only unique per slot, so
-      // the id fast path (pointer-equal keyspaces) must not engage across
-      // differently sharded snapshots; consumers fall back to string keys.
-      out = FlatSnapshot(entry, nullptr, std::move(entries));
-    }
-  }
-  if (obs_) {
-    obs_->scan_latency->observe(StoreObs::seconds_since(t0));
-    if (obs_->tracer != nullptr) {
-      obs_->tracer->record("ds_scan:" + container.table(), "ds", 0, t0,
-                           std::chrono::steady_clock::now() - t0);
-    }
-  }
+  if (entry != nullptr) out = FlatSnapshot(entry, gather(*entry, container, std::nullopt));
+  if (obs_) obs_->observe_scan(container.table(), t0);
   return out;
 }
 
@@ -834,7 +722,7 @@ void DataStore::drop_table(const TableName& table) {
   auto next = std::make_shared<TableMap>(*snap);
   next->erase(table);
   if (durability_) {
-    durability_->broadcast([&table](WalWriter& writer, std::optional<std::uint64_t> lsn) {
+    durability_->broadcast([&table](WalWriter& writer, std::uint64_t lsn) {
       writer.append_drop_table(table, lsn);
     });
   }
@@ -846,7 +734,7 @@ void DataStore::clear() {
   LockRankScope rank(kLockRankRegistry);
   std::lock_guard lock(registry_mutex_);
   if (durability_) {
-    durability_->broadcast([](WalWriter& writer, std::optional<std::uint64_t> lsn) {
+    durability_->broadcast([](WalWriter& writer, std::uint64_t lsn) {
       writer.append_clear(lsn);
     });
   }
@@ -936,9 +824,8 @@ void DataStore::enable_durability(const std::string& dir, DurabilityOptions opti
   auto durability = std::make_unique<Durability>();
   durability->dir = dir;
   durability->options = options;
-  durability->shards = shards();
   durability->segment_seq = 1;
-  durability->open_writers(/*seq=*/1, /*first_record_seq=*/0);
+  durability->open_families(shards(), /*seq=*/1);
   attach_durability(std::move(durability));
 }
 
@@ -1077,22 +964,6 @@ std::unique_ptr<DataStore> DataStore::recover(const std::string& dir, Durability
       ++local.segments_replayed;
     }
 
-    if (logs.size() == 1) {
-      // Single family at this seq (unsharded dirs, and the common case of a
-      // shard generation of one): file order IS mutation order.
-      for (const WalRecord& record : logs[0]) {
-        max_lsn = std::max(max_lsn, record.lsn);
-        any_records = true;
-        if (record.kind == WalRecordKind::kWaveCommit) {
-          last_wave = record.wave;
-        } else {
-          store->replay_record(record);
-        }
-        ++local.records_replayed;
-      }
-      continue;
-    }
-
     std::vector<std::size_t> head(logs.size(), 0);
     for (;;) {
       // Lowest lsn among the family heads; per-family order is already lsn
@@ -1136,14 +1007,11 @@ std::unique_ptr<DataStore> DataStore::recover(const std::string& dir, Durability
   auto durability = std::make_unique<Durability>();
   durability->dir = dir;
   durability->options = options;
-  durability->shards = store->shards();
   durability->segment_seq = next_seq;
   durability->committed_wave = last_wave;
-  // Sharded stores continue the store-global lsn sequence past everything on
-  // disk; the unsharded store keeps the legacy record-count seq space via
-  // first_record_seq below.
+  // Continue the store-global lsn sequence past everything on disk.
   durability->next_lsn.store(any_records ? max_lsn + 1 : 0, std::memory_order_relaxed);
-  durability->open_writers(next_seq, /*first_record_seq=*/local.records_replayed);
+  durability->open_families(store->shards(), next_seq);
   store->attach_durability(std::move(durability));
 
   local.last_durable_wave = last_wave;
@@ -1172,32 +1040,24 @@ void DataStore::commit_wave(Timestamp wave) {
     std::vector<std::unique_lock<std::mutex>> family_locks;
     family_locks.reserve(durability_->families.size());
     for (auto& family : durability_->families) family_locks.emplace_back(family->mutex);
-    if (durability_->shards == 1) {
-      // Legacy single-call path: append + fsync in one step, identical log
-      // and fsync cadence to the unsharded store.
-      durability_->families[0]->writer->append_wave_commit(wave);
-    } else {
-      // Two-phase all-shards barrier. Phase 1 writes the same-lsn commit
-      // record into EVERY family's file (flushed, not yet synced); phase 2
-      // fsyncs each family. Recovery only honors the stamp when all families
-      // hold it, so no shard's durable state can be ahead of the wave
-      // boundary regardless of where a crash lands.
-      const std::uint64_t lsn =
-          durability_->next_lsn.fetch_add(1, std::memory_order_relaxed);
-      for (auto& family : durability_->families) {
-        family->writer->append_wave_commit(wave, lsn, /*sync_now=*/false);
-      }
-      // The families' fsyncs overlap on the helper pool. This thread still
-      // holds every family mutex, so nothing else touches a writer while a
-      // helper syncs it; run_all rethrows the first failure (family order)
-      // only after every sync has finished, and the stamp below is skipped.
-      std::vector<std::function<void()>> syncs;
-      syncs.reserve(durability_->families.size());
-      for (auto& family : durability_->families) {
-        syncs.push_back([writer = family->writer.get()] { writer->sync(); });
-      }
-      helper_pool().run_all(std::move(syncs));
+    // Two-phase all-shards barrier. Phase 1 writes the same-lsn commit
+    // record into EVERY family's file (flushed, not yet synced); phase 2
+    // fsyncs each family. Recovery only honors the stamp when all families
+    // hold it, so no shard's durable state can be ahead of the wave boundary
+    // regardless of where a crash lands.
+    const std::uint64_t lsn = durability_->next_lsn.fetch_add(1, std::memory_order_relaxed);
+    for (auto& family : durability_->families) family->writer->append_wave_commit(wave, lsn);
+    // The families' fsyncs overlap on the helper pool (one family runs
+    // inline on this thread). This thread still holds every family mutex,
+    // so nothing else touches a writer while a helper syncs it; run_all
+    // rethrows the first failure (family order) only after every sync has
+    // finished, and the stamp below is skipped.
+    std::vector<std::function<void()>> syncs;
+    syncs.reserve(durability_->families.size());
+    for (auto& family : durability_->families) {
+      syncs.push_back([writer = family->writer.get()] { writer->sync(); });
     }
+    helper_pool().run_all(std::move(syncs));
     LockRankScope meta_rank(kLockRankDurabilityMeta);
     std::lock_guard meta(durability_->meta_mutex);
     durability_->committed_wave = wave;
@@ -1342,13 +1202,8 @@ void DataStore::checkpoint() {
     cut = durability_->segment_seq;
     for (std::size_t shard = 0; shard < durability_->families.size(); ++shard) {
       auto& family = *durability_->families[shard];
-      const std::uint64_t next_record_seq = family.writer->record_seq();
       family.writer.reset();  // flushes; closing this family's segment at the cut
-      family.writer = std::make_unique<WalWriter>(
-          durability_->segment_path(shard, cut + 1), durability_->options.flush,
-          durability_->options.fault_injector, next_record_seq, durability_->lsn_source(),
-          durability_->fault_tag(shard));
-      if (family.obs.records != nullptr) family.writer->set_obs(&family.obs);
+      durability_->open_writer(family, shard, cut + 1);
     }
     durability_->segment_seq = cut + 1;
     image.wal_cut_segment = cut;

@@ -72,12 +72,12 @@ struct MemoryStats {
 /// are thread-safe. Concurrency model:
 ///
 ///  - Each table is partitioned into ShardOptions::shards lock domains by
-///    consistent hashing of the row key (one domain total with the default
-///    shards = 1): readers of a shard run concurrently with each other and
-///    with writers to *other* shards; only a write to the same shard
-///    excludes. With durability on, each shard also owns its own WAL segment
-///    family, so concurrent writers to different shards never contend on one
-///    log mutex and fsyncs amortize per shard.
+///    consistent hashing of the row key: readers of a shard run concurrently
+///    with each other and with writers to *other* shards; only a write to
+///    the same shard excludes. With durability on, each shard also owns its
+///    own WAL segment family, so concurrent writers to different shards
+///    never contend on one log mutex and fsyncs amortize per shard. One
+///    shard (the default) is the same code with one domain and one family.
 ///  - The table registry is RCU-style (an immutable map snapshot, swapped
 ///    under a leaf mutex), and point ops read it through a per-thread cache
 ///    validated by one atomic load, so they never touch a registry mutex
@@ -140,22 +140,19 @@ class DataStore {
   /// Visits the latest value of every cell inside `container`, in
   /// (row, column) order.
   ///
-  /// Deadlock contract: the visitor runs under the table's *shared* lock.
-  /// It therefore must not write to the store for the same table (the
-  /// exclusive lock would wait on the scan) and must not re-enter any
-  /// locking read of the same table either (recursively taking a shared
-  /// lock is undefined behavior and can deadlock once a writer queues in
-  /// between). Reads of *other* tables are safe. When the visitor needs to
-  /// touch the store — or just run for a while without blocking writers —
-  /// take a `snapshot_flat()` and iterate that instead: it copies the
-  /// container out under the lock and releases it before you look at the
-  /// data.
+  /// Lock contract: the matching cells are gathered under the table's shared
+  /// slot locks, and the visitor runs after every lock is released. It may
+  /// therefore read or write the store, the scanned table included, and may
+  /// run for as long as it likes without blocking writers; it sees the cells
+  /// as they were when the gather finished.
   void scan_container(const ContainerRef& container,
                       const std::function<void(const RowKey&, const ColumnKey&, double)>& visit)
       const;
 
   /// As-of-wave scan_container: visits each cell's value as of `ts`,
-  /// skipping cells that only exist after it. Same deadlock contract.
+  /// skipping cells that only exist after it. Same lock contract. Counted
+  /// under op="scan" but neither timed nor traced (steps read through it;
+  /// the ds_scan spans stay the monitoring snapshots').
   void scan_container_at(
       const ContainerRef& container, Timestamp ts,
       const std::function<void(const RowKey&, const ColumnKey&, double)>& visit) const;
@@ -201,15 +198,17 @@ class DataStore {
   /// receives what was found (incl. the last durable wave for the
   /// wave-boundary consistency rule).
   /// `shard_options` shapes the *recovered* store; the dir may have been
-  /// written with any shard count (legacy and sharded segment names both
-  /// replay, with every row re-routed through the new ring).
+  /// written with any shard count, or by an older build's unsharded
+  /// `wal-%06d.sflog` segments (read as shard 0), with every row re-routed
+  /// through the new ring. The recovered store writes `wal-s<k>-*` only.
   static std::unique_ptr<DataStore> recover(const std::string& dir,
                                             DurabilityOptions options = {},
                                             std::size_t max_versions = 2,
                                             RecoveryInfo* info = nullptr,
                                             ShardOptions shard_options = {});
 
-  /// Stamps the wave boundary: appends a wave-commit record and fsyncs (the
+  /// Stamps the wave boundary: appends a wave-commit record to every WAL
+  /// family and fsyncs them all (the
   /// durability point of the kEveryWave policy, and the data half of the
   /// "wave recovered iff data + journal record on disk" rule). Triggers an
   /// automatic checkpoint every checkpoint_every_waves commits. No-op when
@@ -266,7 +265,6 @@ class DataStore {
 
   std::size_t max_versions() const noexcept { return max_versions_; }
   std::size_t shards() const noexcept { return ring_.shards(); }
-  const ShardOptions& shard_options() const noexcept { return shard_options_; }
   /// Shard owning `row` — exposed for tests and benchmarks.
   std::size_t shard_of(const RowKey& row) const noexcept { return ring_.shard_of(row); }
 
@@ -310,12 +308,11 @@ class DataStore {
                          Timestamp ts, std::span<const PutOp> sub,
                          std::span<const std::uint32_t> origin,
                          std::vector<std::pair<double, bool>>* previous);
-  /// Merged as-of scan across every slot of a table (shards > 1 path):
-  /// locks all slots shared, gathers matches, restores (row, column) order.
-  void scan_slots_merged(const TableEntry& entry, const ContainerRef& container,
-                         std::optional<Timestamp> at,
-                         const std::function<void(const RowKey&, const ColumnKey&, double)>&
-                             visit) const;
+  /// The one read path behind every scan and snapshot: locks all slots of
+  /// the table shared, collects the cells of `container` (latest, or as of
+  /// `at`) in (row, column) order, and releases the locks before returning.
+  std::vector<FlatEntry> gather(const TableEntry& entry, const ContainerRef& container,
+                                std::optional<Timestamp> at) const;
   /// Installs an open WAL + bookkeeping (shared by enable_durability and
   /// recover). Wires the WAL metric handles when instrumentation is on.
   void attach_durability(std::unique_ptr<Durability> durability);
@@ -329,7 +326,6 @@ class DataStore {
   }
 
   std::size_t max_versions_;
-  ShardOptions shard_options_;
   ShardRing ring_;
   std::unique_ptr<StoreObs> obs_;  ///< null unless set_instrumentation attached one
   /// Null unless durability is enabled. The per-family WAL mutexes inside

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string_view>
@@ -33,11 +32,9 @@ class Table {
  public:
   explicit Table(std::size_t max_versions = 2);
 
-  /// Zero-copy view of one live cell, as visited by `scan_cells`: `id`
-  /// packs the interner ids ((row_id << 32) | col_id); `row`/`col` point
-  /// into the interner storage (valid for the table's lifetime).
+  /// Zero-copy view of one live cell, as visited by `scan_cells`: `row`/`col`
+  /// point into the interner storage (valid for the table's lifetime).
   struct CellView {
-    std::uint64_t id = 0;
     const std::string* row = nullptr;
     const std::string* col = nullptr;
     double value = 0.0;
@@ -81,7 +78,6 @@ class Table {
     ensure_sorted();
     for (const std::uint32_t cell : sorted_) {
       CellView view;
-      view.id = pack(cell_row_[cell], cell_col_[cell]);
       view.row = rows_.key_ptr(cell_row_[cell]);
       view.col = cols_.key_ptr(cell_col_[cell]);
       view.value = version_slots_[static_cast<std::size_t>(cell) * max_versions_].value;
@@ -100,23 +96,12 @@ class Table {
       const std::size_t at = version_at(cell, ts);
       if (at >= max_versions_) continue;
       CellView view;
-      view.id = pack(cell_row_[cell], cell_col_[cell]);
       view.row = rows_.key_ptr(cell_row_[cell]);
       view.col = cols_.key_ptr(cell_col_[cell]);
       view.value = version_slots_[static_cast<std::size_t>(cell) * max_versions_ + at].value;
       visit(view);
     }
   }
-
-  /// Visits every latest cell of the given column in row order.
-  void scan_column(std::string_view column,
-                   const std::function<void(const RowKey&, double)>& visit) const;
-
-  /// Visits every latest cell in the table in (row, column) order.
-  void scan(const std::function<void(const RowKey&, const ColumnKey&, double)>& visit) const;
-
-  /// Latest values of a column, in row order (dense snapshot).
-  std::vector<double> column_values(std::string_view column) const;
 
   std::size_t row_count() const noexcept { return live_rows_; }
   std::size_t cell_count() const noexcept { return live_cells_; }

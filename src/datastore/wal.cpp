@@ -122,12 +122,6 @@ std::optional<std::uint64_t> parse_seq_name(std::string_view name, std::string_v
 
 }  // namespace
 
-std::string wal_segment_name(std::uint64_t seq) { return format_seq_name("wal-", ".sflog", seq); }
-
-std::optional<std::uint64_t> parse_wal_segment_name(std::string_view name) {
-  return parse_seq_name(name, "wal-", ".sflog");
-}
-
 std::string checkpoint_file_name(std::uint64_t cut_seq) {
   return format_seq_name("checkpoint-", ".sfck", cut_seq);
 }
@@ -144,7 +138,8 @@ std::string sharded_wal_segment_name(std::size_t shard, std::uint64_t seq) {
 }
 
 std::optional<WalSegmentId> parse_any_wal_segment_name(std::string_view name) {
-  if (const auto seq = parse_wal_segment_name(name)) return WalSegmentId{0, *seq};
+  // The unsharded name of older builds reads as shard 0 (recovery only).
+  if (const auto seq = parse_seq_name(name, "wal-", ".sflog")) return WalSegmentId{0, *seq};
   constexpr std::string_view prefix = "wal-s";
   if (name.size() <= prefix.size() || name.substr(0, prefix.size()) != prefix) {
     return std::nullopt;
@@ -165,15 +160,13 @@ std::optional<WalSegmentId> parse_any_wal_segment_name(std::string_view name) {
 // WalWriter
 
 WalWriter::WalWriter(std::string path, WalFlushPolicy policy, FaultInjector* injector,
-                     std::uint64_t first_record_seq, std::atomic<std::uint64_t>* lsn_source,
-                     std::string fault_tag)
+                     std::atomic<std::uint64_t>& lsn_source, std::string fault_tag)
     : path_(std::move(path)),
       file_(SyncFile::open_append(path_)),
       policy_(policy),
       injector_(injector),
       lsn_source_(lsn_source),
-      fault_tag_(std::move(fault_tag)),
-      record_seq_(first_record_seq) {}
+      fault_tag_(std::move(fault_tag)) {}
 
 WalWriter::~WalWriter() {
   if (!broken_ && !pending_.empty()) {
@@ -190,11 +183,6 @@ void WalWriter::check_usable() const {
     throw Error("WAL '" + path_ + "' is broken (previous write or fsync failed); "
                 "the store must be recovered from disk");
   }
-}
-
-std::uint64_t WalWriter::next_lsn() noexcept {
-  return lsn_source_ != nullptr ? lsn_source_->fetch_add(1, std::memory_order_relaxed)
-                                : record_seq_;
 }
 
 std::size_t WalWriter::begin_record() {
@@ -249,12 +237,11 @@ void WalWriter::end_record(std::size_t start, int sync_class, std::uint64_t lsn)
   }
 
   const bool policy_sync =
-      sync_class == 2 ||
-      (sync_class == 1 && policy_ != WalFlushPolicy::kEveryWave) ||
-      (sync_class != 3 && policy_ == WalFlushPolicy::kEveryOp);
+      sync_class != 2 && (policy_ == WalFlushPolicy::kEveryOp ||
+                          (sync_class == 1 && policy_ != WalFlushPolicy::kEveryWave));
   if (policy_sync) {
     sync();
-  } else if (sync_class == 3 || pending_.size() >= kPendingFlushBytes ||
+  } else if (sync_class == 2 || pending_.size() >= kPendingFlushBytes ||
              policy_ != WalFlushPolicy::kEveryWave) {
     flush();
   }
@@ -302,7 +289,7 @@ void WalWriter::sync() {
 
 void WalWriter::append_put(std::string_view table, std::string_view row,
                            std::string_view column, Timestamp ts, double value) {
-  const std::uint64_t lsn = next_lsn();
+  const std::uint64_t lsn = lsn_source_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t start = begin_record();
   put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kPut));
   put_u64(pending_, lsn);
@@ -315,7 +302,7 @@ void WalWriter::append_put(std::string_view table, std::string_view row,
 }
 
 void WalWriter::append_batch(std::string_view table, Timestamp ts, std::span<const PutOp> ops) {
-  const std::uint64_t lsn = next_lsn();
+  const std::uint64_t lsn = lsn_source_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t start = begin_record();
   put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kPutBatch));
   put_u64(pending_, lsn);
@@ -332,7 +319,7 @@ void WalWriter::append_batch(std::string_view table, Timestamp ts, std::span<con
 
 void WalWriter::append_erase(std::string_view table, std::string_view row,
                              std::string_view column, Timestamp ts) {
-  const std::uint64_t lsn = next_lsn();
+  const std::uint64_t lsn = lsn_source_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t start = begin_record();
   put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kErase));
   put_u64(pending_, lsn);
@@ -343,40 +330,35 @@ void WalWriter::append_erase(std::string_view table, std::string_view row,
   end_record(start, 0, lsn);
 }
 
-void WalWriter::append_create_table(std::string_view table, std::optional<std::uint64_t> lsn) {
-  const std::uint64_t seq = lsn ? *lsn : next_lsn();
+void WalWriter::append_create_table(std::string_view table, std::uint64_t lsn) {
   const std::size_t start = begin_record();
   put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kCreateTable));
-  put_u64(pending_, seq);
+  put_u64(pending_, lsn);
   put_str(pending_, table);
-  end_record(start, 1, seq);
+  end_record(start, 1, lsn);
 }
 
-void WalWriter::append_drop_table(std::string_view table, std::optional<std::uint64_t> lsn) {
-  const std::uint64_t seq = lsn ? *lsn : next_lsn();
+void WalWriter::append_drop_table(std::string_view table, std::uint64_t lsn) {
   const std::size_t start = begin_record();
   put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kDropTable));
-  put_u64(pending_, seq);
+  put_u64(pending_, lsn);
   put_str(pending_, table);
-  end_record(start, 1, seq);
+  end_record(start, 1, lsn);
 }
 
-void WalWriter::append_clear(std::optional<std::uint64_t> lsn) {
-  const std::uint64_t seq = lsn ? *lsn : next_lsn();
+void WalWriter::append_clear(std::uint64_t lsn) {
   const std::size_t start = begin_record();
   put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kClear));
-  put_u64(pending_, seq);
-  end_record(start, 1, seq);
+  put_u64(pending_, lsn);
+  end_record(start, 1, lsn);
 }
 
-void WalWriter::append_wave_commit(Timestamp wave, std::optional<std::uint64_t> lsn,
-                                   bool sync_now) {
-  const std::uint64_t seq = lsn ? *lsn : next_lsn();
+void WalWriter::append_wave_commit(Timestamp wave, std::uint64_t lsn) {
   const std::size_t start = begin_record();
   put_u8(pending_, static_cast<std::uint8_t>(WalRecordKind::kWaveCommit));
-  put_u64(pending_, seq);
+  put_u64(pending_, lsn);
   put_u64(pending_, wave);
-  end_record(start, sync_now ? 2 : 3, seq);
+  end_record(start, 2, lsn);
 }
 
 // ---------------------------------------------------------------------------

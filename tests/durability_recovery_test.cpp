@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -154,117 +155,17 @@ struct Workload {
   }
 };
 
-/// Mixed workload exercising every record kind, wave commits interleaved.
-Workload crash_workload() {
-  Workload w;
-  w.put("alpha", "r1", "c1", 1, 1.0);        // create + put
-  w.put("alpha", "r1", "c2", 1, 1.5);
-  w.put("beta", "r1", "c1", 1, -2.0);        // create + put
-  w.put_batch("alpha", 2, {{"r1", "c1", 2.0}, {"r2", "c1", 2.5}, {"r3", "c3", 0.125}});
-  w.commit_wave(1);
-  w.put("alpha", "r1", "c1", 3, 3.0);        // third version: trims history
-  w.erase("alpha", "r1", "c2", 3);
-  w.put("gamma", "rX", "cX", 3, 9.0);        // create + put
-  w.commit_wave(2);
-  w.drop("beta");
-  w.put("beta", "r9", "c9", 4, 4.75);        // re-create + put
-  w.put_batch("gamma", 4, {{"rX", "cX", 10.0}, {"rY", "cY", 11.0}});
-  w.commit_wave(3);
-  w.clear();
-  w.put("delta", "d", "d", 5, 5.0);          // create + put
-  w.commit_wave(4);
-  return w;
-}
-
-/// Runs `workload` against a durable store with a disk fault armed at record
-/// `kill`, recovers the dir, and returns (recovered dump, recovery info).
-std::pair<std::string, RecoveryInfo> run_and_recover(const Workload& workload,
-                                                     const std::string& dir,
-                                                     DiskFaultKind fault_kind,
-                                                     std::uint64_t kill) {
-  FaultInjector injector(42);
-  injector.add_disk_rule(DiskFaultRule{
-      .kind = fault_kind, .file_tag = "wal", .first_record = kill, .last_record = kill});
-  {
-    DataStore store;
-    DurabilityOptions options;
-    options.flush = WalFlushPolicy::kEveryOp;
-    options.fault_injector = &injector;
-    store.enable_durability(dir, options);
-    try {
-      for (const auto& call : workload.calls) call(store);
-    } catch (const InjectedFault&) {
-      // The "crash": the store object dies here with a broken WAL.
-    }
-  }
-  RecoveryInfo info;
-  auto recovered = DataStore::recover(dir, {}, /*max_versions=*/2, &info);
-  return {dump_store(*recovered), info};
-}
-
-TEST(CrashMatrix, RecoveredStateIsExactlyThePrefixAtEveryKillPoint) {
-  const Workload workload = crash_workload();
-  const std::size_t total = workload.record_effects.size();
-  ASSERT_GE(total, 20u);
-  // kill == total arms no fault: the full workload must round-trip too.
-  for (std::size_t kill = 0; kill <= total; ++kill) {
-    const std::string dir = fresh_dir("sf_crash_matrix_" + std::to_string(kill));
-    const auto [dump, info] = run_and_recover(workload, dir, DiskFaultKind::kCrash, kill);
-    const ModelStore expected = workload.expected_after(kill);
-    EXPECT_EQ(dump, expected.dump()) << "kill point " << kill << " of " << total;
-    EXPECT_EQ(info.last_durable_wave, expected.last_wave) << "kill point " << kill;
-    EXPECT_FALSE(info.truncated_torn_tail) << "kill point " << kill;
-    EXPECT_EQ(info.records_replayed, std::min(kill, total)) << "kill point " << kill;
-    std::filesystem::remove_all(dir);
-  }
-}
-
-TEST(CrashMatrix, TornWritesTruncateToThePrefixAtEveryKillPoint) {
-  const Workload workload = crash_workload();
-  const std::size_t total = workload.record_effects.size();
-  for (std::size_t kill = 0; kill < total; ++kill) {
-    const std::string dir = fresh_dir("sf_torn_matrix_" + std::to_string(kill));
-    const auto [dump, info] = run_and_recover(workload, dir, DiskFaultKind::kTornWrite, kill);
-    const ModelStore expected = workload.expected_after(kill);
-    EXPECT_EQ(dump, expected.dump()) << "torn record " << kill << " of " << total;
-    EXPECT_EQ(info.last_durable_wave, expected.last_wave) << "torn record " << kill;
-    EXPECT_TRUE(info.truncated_torn_tail) << "torn record " << kill;
-    std::filesystem::remove_all(dir);
-  }
-}
-
-TEST(CrashMatrix, RecoveryIsIdempotentAndTheStoreContinues) {
-  const Workload workload = crash_workload();
-  const std::string dir = fresh_dir("sf_crash_continue");
-  const auto [dump, info] = run_and_recover(workload, dir, DiskFaultKind::kTornWrite, 9);
-  // The torn tail was physically truncated: a second recovery sees a clean
-  // log and the same state.
-  RecoveryInfo again;
-  {
-    auto recovered = DataStore::recover(dir, {}, 2, &again);
-    EXPECT_EQ(dump_store(*recovered), dump);
-    EXPECT_FALSE(again.truncated_torn_tail);
-    // The recovered store keeps logging: mutate and commit a new wave.
-    recovered->put("omega", "o", "o", 40, 40.0);
-    recovered->commit_wave(40);
-  }
-  RecoveryInfo final_info;
-  auto final_store = DataStore::recover(dir, {}, 2, &final_info);
-  EXPECT_EQ(final_store->get("omega", "o", "o"), std::optional<double>{40.0});
-  EXPECT_EQ(final_info.last_durable_wave, std::optional<Timestamp>{40});
-}
-
 // ---------------------------------------------------------------------------
-// Sharded stores: the same crash matrix against interleaved per-shard WAL
-// segment families.
+// Crash matrix, swept over shard counts: one WAL family at one shard,
+// interleaved per-shard families at three.
 
-/// Mirror of crash_workload for a sharded store: identical logical sequence,
-/// but each put_batch is split per shard (one WAL record per shard hit,
-/// applied in shard index order — DataStore::put_batch's serial split order),
-/// so the model's record list again matches the store's global LSN sequence
-/// 1:1. Broadcast records (create/drop/clear/commit) carry one LSN each,
-/// exactly like the single-family layout.
-Workload sharded_crash_workload(const ShardRing& ring) {
+/// Mixed workload exercising every record kind, wave commits interleaved.
+/// Each put_batch is split per shard (one WAL record per shard hit, applied
+/// in shard index order — DataStore::put_batch's serial split order), so the
+/// model's record list matches the store's global LSN sequence 1:1 at any
+/// shard count. Broadcast records (create/drop/clear/commit) carry one LSN
+/// each, whatever the number of families they are copied into.
+Workload crash_workload(const ShardRing& ring) {
   Workload w;
   const auto put_batch_split =
       [&w, &ring](const std::string& table, Timestamp ts,
@@ -284,35 +185,37 @@ Workload sharded_crash_workload(const ShardRing& ring) {
           s.put_batch(table, ts, ops);
         });
       };
-  w.put("alpha", "r1", "c1", 1, 1.0);
+  w.put("alpha", "r1", "c1", 1, 1.0);        // create + put
   w.put("alpha", "r1", "c2", 1, 1.5);
-  w.put("beta", "r1", "c1", 1, -2.0);
+  w.put("beta", "r1", "c1", 1, -2.0);        // create + put
   put_batch_split("alpha", 2, {{"r1", "c1", 2.0}, {"r2", "c1", 2.5}, {"r3", "c3", 0.125}});
   w.commit_wave(1);
-  w.put("alpha", "r1", "c1", 3, 3.0);
+  w.put("alpha", "r1", "c1", 3, 3.0);        // third version: trims history
   w.erase("alpha", "r1", "c2", 3);
-  w.put("gamma", "rX", "cX", 3, 9.0);
+  w.put("gamma", "rX", "cX", 3, 9.0);        // create + put
   w.commit_wave(2);
   w.drop("beta");
-  w.put("beta", "r9", "c9", 4, 4.75);
+  w.put("beta", "r9", "c9", 4, 4.75);        // re-create + put
   put_batch_split("gamma", 4, {{"rX", "cX", 10.0}, {"rY", "cY", 11.0}});
   w.commit_wave(3);
   w.clear();
-  w.put("delta", "d", "d", 5, 5.0);
+  w.put("delta", "d", "d", 5, 5.0);          // create + put
   w.commit_wave(4);
   return w;
 }
 
-std::pair<std::string, RecoveryInfo> run_and_recover_sharded(const Workload& workload,
-                                                             const ShardOptions& shard_options,
-                                                             const std::string& dir,
-                                                             DiskFaultKind fault_kind,
-                                                             std::uint64_t kill) {
+/// Runs `workload` against a durable store with a disk fault armed at record
+/// `kill`, recovers the dir, and returns (recovered dump, recovery info).
+std::pair<std::string, RecoveryInfo> run_and_recover(const Workload& workload,
+                                                     const ShardOptions& shard_options,
+                                                     const std::string& dir,
+                                                     DiskFaultKind fault_kind,
+                                                     std::uint64_t kill) {
   FaultInjector injector(42);
-  // Empty tag: matches every shard's WAL family. The record seq a sharded
-  // writer reports is the store-global LSN, so `kill` selects one exact
-  // record boundary across the interleaved families regardless of which
-  // family that record lands in.
+  // Empty tag: matches every shard's WAL family. The record seq a writer
+  // reports is the store-global LSN, so `kill` selects one exact record
+  // boundary across the interleaved families regardless of which family
+  // that record lands in.
   injector.add_disk_rule(DiskFaultRule{
       .kind = fault_kind, .file_tag = "", .first_record = kill, .last_record = kill});
   {
@@ -328,48 +231,81 @@ std::pair<std::string, RecoveryInfo> run_and_recover_sharded(const Workload& wor
     }
   }
   RecoveryInfo info;
-  auto recovered = DataStore::recover(dir, {}, 2, &info, shard_options);
+  auto recovered = DataStore::recover(dir, {}, /*max_versions=*/2, &info, shard_options);
   return {dump_store(*recovered), info};
 }
 
-TEST(ShardedCrashMatrix, EveryLsnKillPointRecoversTheExactPrefix) {
-  ShardOptions so;
-  so.shards = 3;
-  const ShardRing ring(so);
-  const Workload workload = sharded_crash_workload(ring);
+/// Parameter: the shard count of the store under test.
+class CrashMatrix : public testing::TestWithParam<std::size_t> {
+ protected:
+  ShardOptions shard_options() const { return ShardOptions{.shards = GetParam()}; }
+  /// Per-shard-count data dir name.
+  std::string dir(const std::string& name) const {
+    return fresh_dir(name + "_s" + std::to_string(GetParam()));
+  }
+};
+
+TEST_P(CrashMatrix, RecoveredStateIsExactlyThePrefixAtEveryKillPoint) {
+  const ShardOptions so = shard_options();
+  const Workload workload = crash_workload(ShardRing(so));
   const std::size_t total = workload.record_effects.size();
   ASSERT_GE(total, 20u);
   // kill == total arms no fault: the full workload must round-trip too.
   for (std::size_t kill = 0; kill <= total; ++kill) {
-    const std::string dir = fresh_dir("sf_shard_crash_" + std::to_string(kill));
+    const std::string data_dir = dir("sf_crash_matrix_" + std::to_string(kill));
     const auto [dump, info] =
-        run_and_recover_sharded(workload, so, dir, DiskFaultKind::kCrash, kill);
+        run_and_recover(workload, so, data_dir, DiskFaultKind::kCrash, kill);
     const ModelStore expected = workload.expected_after(kill);
     EXPECT_EQ(dump, expected.dump()) << "kill point " << kill << " of " << total;
     EXPECT_EQ(info.last_durable_wave, expected.last_wave) << "kill point " << kill;
     EXPECT_FALSE(info.truncated_torn_tail) << "kill point " << kill;
     EXPECT_EQ(info.records_replayed, std::min(kill, total)) << "kill point " << kill;
-    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(data_dir);
   }
 }
 
-TEST(ShardedCrashMatrix, TornWritesTruncateToThePrefixAcrossFamilies) {
-  ShardOptions so;
-  so.shards = 3;
-  const ShardRing ring(so);
-  const Workload workload = sharded_crash_workload(ring);
+TEST_P(CrashMatrix, TornWritesTruncateToThePrefixAtEveryKillPoint) {
+  const ShardOptions so = shard_options();
+  const Workload workload = crash_workload(ShardRing(so));
   const std::size_t total = workload.record_effects.size();
   for (std::size_t kill = 0; kill < total; ++kill) {
-    const std::string dir = fresh_dir("sf_shard_torn_" + std::to_string(kill));
+    const std::string data_dir = dir("sf_torn_matrix_" + std::to_string(kill));
     const auto [dump, info] =
-        run_and_recover_sharded(workload, so, dir, DiskFaultKind::kTornWrite, kill);
+        run_and_recover(workload, so, data_dir, DiskFaultKind::kTornWrite, kill);
     const ModelStore expected = workload.expected_after(kill);
     EXPECT_EQ(dump, expected.dump()) << "torn record " << kill << " of " << total;
     EXPECT_EQ(info.last_durable_wave, expected.last_wave) << "torn record " << kill;
     EXPECT_TRUE(info.truncated_torn_tail) << "torn record " << kill;
-    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(data_dir);
   }
 }
+
+TEST_P(CrashMatrix, RecoveryIsIdempotentAndTheStoreContinues) {
+  const ShardOptions so = shard_options();
+  const Workload workload = crash_workload(ShardRing(so));
+  const std::string data_dir = dir("sf_crash_continue");
+  const auto [dump, info] = run_and_recover(workload, so, data_dir, DiskFaultKind::kTornWrite, 9);
+  // The torn tail was physically truncated: a second recovery sees a clean
+  // log and the same state.
+  RecoveryInfo again;
+  {
+    auto recovered = DataStore::recover(data_dir, {}, 2, &again, so);
+    EXPECT_EQ(dump_store(*recovered), dump);
+    EXPECT_FALSE(again.truncated_torn_tail);
+    // The recovered store keeps logging: mutate and commit a new wave.
+    recovered->put("omega", "o", "o", 40, 40.0);
+    recovered->commit_wave(40);
+  }
+  RecoveryInfo final_info;
+  auto final_store = DataStore::recover(data_dir, {}, 2, &final_info, so);
+  EXPECT_EQ(final_store->get("omega", "o", "o"), std::optional<double>{40.0});
+  EXPECT_EQ(final_info.last_durable_wave, std::optional<Timestamp>{40});
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, CrashMatrix, testing::Values(std::size_t{1}, std::size_t{3}),
+                         [](const testing::TestParamInfo<std::size_t>& info) {
+                           return std::to_string(info.param);
+                         });
 
 /// Finds a row key the ring routes to `shard` (deterministic probe).
 std::string row_on_shard(const ShardRing& ring, std::size_t shard) {
@@ -516,7 +452,7 @@ TEST(Durability, FsyncFailureIsFatalButNotCorrupting) {
   const std::string dir = fresh_dir("sf_fsyncfail");
   FaultInjector injector(7);
   injector.add_disk_rule(DiskFaultRule{
-      .kind = DiskFaultKind::kFsyncFail, .file_tag = "wal", .first_record = 2,
+      .kind = DiskFaultKind::kFsyncFail, .file_tag = "wal-s0", .first_record = 2,
       .last_record = 2});
   {
     DataStore store;
@@ -550,7 +486,7 @@ TEST(Durability, EveryWavePolicyLosesAtMostTheInFlightWave) {
     store.commit_wave(1);  // fsyncs everything up to here
     store.put("t", "w2", "c", 2, 2.0);
     // Crash on the wave-2 commit: the buffered wave-2 records die unsynced.
-    injector.add_disk_rule(DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal"});
+    injector.add_disk_rule(DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal-s0"});
     EXPECT_THROW(store.commit_wave(2), InjectedFault);
   }
   RecoveryInfo info;
@@ -604,6 +540,53 @@ TEST(Durability, RecoverOnAnEmptyDirYieldsAFreshDurableStore) {
   EXPECT_EQ(back->get("t", "r", "c"), std::optional<double>{1.0});
 }
 
+/// A data dir from an older build: one unsharded `wal-000001.sflog` segment,
+/// whose record-count lsns the writer reproduces by drawing every lsn from
+/// one counter. It recovers into any shard count, and the recovered store
+/// continues under the `wal-s<k>-*` names only.
+TEST(Durability, LegacyUnshardedSegmentRecoversIntoAnyShardCount) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    const std::string dir = fresh_dir("sf_legacy_wal_s" + std::to_string(shards));
+    std::filesystem::create_directories(dir);
+    {
+      std::atomic<std::uint64_t> lsn{0};
+      WalWriter writer(dir + "/wal-000001.sflog", WalFlushPolicy::kEveryWave, nullptr, lsn,
+                       "wal");
+      writer.append_create_table("t", lsn++);
+      writer.append_put("t", "r1", "c", 1, 1.0);
+      writer.append_put("t", "r2", "c", 1, 2.0);
+      const std::vector<PutOp> ops = {{"r1", "c", 3.0}, {"r3", "c", 4.0}};
+      writer.append_batch("t", 2, ops);
+      writer.append_wave_commit(2, lsn++);
+      writer.sync();
+    }
+    RecoveryInfo info;
+    auto store = DataStore::recover(dir, {}, 2, &info, ShardOptions{.shards = shards});
+    EXPECT_EQ(info.records_replayed, 5u) << shards;
+    EXPECT_EQ(info.segments_replayed, 1u) << shards;
+    EXPECT_EQ(info.last_durable_wave, std::optional<Timestamp>{2}) << shards;
+    EXPECT_EQ(store->cell_versions("t", "r1", "c"),
+              (std::vector<CellVersion>{{2, 3.0}, {1, 1.0}}))
+        << shards;
+    EXPECT_EQ(store->get("t", "r2", "c"), std::optional<double>{2.0}) << shards;
+    EXPECT_EQ(store->get("t", "r3", "c"), std::optional<double>{4.0}) << shards;
+
+    // The next segment is written under the per-shard names, one per family.
+    store->put("t", "r4", "c", 3, 5.0);
+    store->commit_wave(3);
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+      EXPECT_TRUE(std::filesystem::exists(dir + "/" + sharded_wal_segment_name(shard, 2)))
+          << shards << " shards, family " << shard;
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir + "/wal-000002.sflog")) << shards;
+    store.reset();
+    auto again = DataStore::recover(dir, {}, 2, &info, ShardOptions{.shards = shards});
+    EXPECT_EQ(info.last_durable_wave, std::optional<Timestamp>{3}) << shards;
+    EXPECT_EQ(again->get("t", "r4", "c"), std::optional<double>{5.0}) << shards;
+    EXPECT_EQ(again->cell_count("t"), 4u) << shards;
+  }
+}
+
 TEST(Checkpointing, CheckpointRotatesTheLogAndBoundsReplay) {
   const std::string dir = fresh_dir("sf_ckpt_rotate");
   {
@@ -616,8 +599,8 @@ TEST(Checkpointing, CheckpointRotatesTheLogAndBoundsReplay) {
     store.checkpoint();
     // The checkpoint replaced segment 1; appends continue in segment 2.
     EXPECT_TRUE(std::filesystem::exists(dir + "/checkpoint-000001.sfck"));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/wal-000001.sflog"));
-    EXPECT_TRUE(std::filesystem::exists(dir + "/wal-000002.sflog"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/wal-s0-000001.sflog"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/wal-s0-000002.sflog"));
     store.put("t", "r2", "c", 3, 6.0);
     store.commit_wave(2);
   }
@@ -651,7 +634,7 @@ TEST(Checkpointing, AutomaticCheckpointsKeepOnlyTheNewest) {
   for (const auto& dirent : std::filesystem::directory_iterator(dir)) {
     const std::string name = dirent.path().filename().string();
     checkpoints += parse_checkpoint_file_name(name).has_value();
-    segments += parse_wal_segment_name(name).has_value();
+    segments += parse_any_wal_segment_name(name).has_value();
   }
   EXPECT_EQ(checkpoints, 1u);
   EXPECT_EQ(segments, 1u);
@@ -740,7 +723,7 @@ TEST(EngineCrashRecovery, SigkillMidWaveResumesAtOneConsistentBoundary) {
     // Steps fail, and the engine's commit_wave(4) — which runs *before* the
     // journal append — surfaces the broken WAL, so neither layer records
     // wave 4.
-    injector.add_disk_rule(DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal"});
+    injector.add_disk_rule(DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal-s0"});
     EXPECT_THROW(engine.run_waves(4, 1, sync), Error);
   }
 
@@ -836,7 +819,7 @@ TEST(SmartFluxCrashRecovery, CrashedEngineResumesFromDurableStoreAndJournal) {
 
     // Crash mid-wave-37: the WAL dies on the first append of the wave.
     injector.add_disk_rule(
-        DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal"});
+        DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal-s0"});
     EXPECT_THROW(sf.run(37, 1), Error);
   }
 

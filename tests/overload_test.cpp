@@ -336,7 +336,7 @@ TEST(CrashRecovery, CrashMidShedRecoversWithoutLosingWaves) {
     }
     // Kill the process at the shed wave's commit record: the store never
     // makes wave 4 durable and the journal never records it.
-    injector.add_disk_rule(DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal"});
+    injector.add_disk_rule(DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal-s0"});
     EXPECT_THROW(engine.shed_wave(4), InjectedFault);
   }  // crash: engine and store die
 

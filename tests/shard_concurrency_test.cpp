@@ -62,20 +62,17 @@ TEST(ShardRingTest, RoutingIsDeterministicAcrossInstances) {
 /// wrapping past the top.
 TEST(ShardRingTest, LookupMatchesTheFirstPointClockwise) {
   for (const std::size_t shards : {2u, 4u, 8u, 37u}) {
-    ShardOptions so;
-    so.shards = shards;
-    so.vnodes_per_shard = shards == 37 ? 3 : 64;
-    const ShardRing ring(so);
+    const ShardRing ring(ShardOptions{.shards = shards});
     std::vector<std::pair<std::uint64_t, std::size_t>> points;
     for (std::size_t shard = 0; shard < shards; ++shard) {
-      for (std::size_t vnode = 0; vnode < so.vnodes_per_shard; ++vnode) {
-        points.emplace_back(hash64(so.ring_seed, shard, vnode), shard);
+      for (std::size_t vnode = 0; vnode < kVnodesPerShard; ++vnode) {
+        points.emplace_back(hash64(kRingSeed, shard, vnode), shard);
       }
     }
     std::sort(points.begin(), points.end());
     for (std::size_t i = 0; i < 20000; ++i) {
       const std::string row = row_name(i);
-      const std::uint64_t h = hash64_bytes(row, so.ring_seed);
+      const std::uint64_t h = hash64_bytes(row, kRingSeed);
       auto it = std::lower_bound(points.begin(), points.end(), std::make_pair(h, std::size_t{0}));
       if (it == points.end()) it = points.begin();
       ASSERT_EQ(ring.shard_of(row), it->second) << shards << " shards, " << row;
@@ -126,13 +123,13 @@ TEST(ShardRingTest, GrowingTheRingMovesOnlyAMinorityOfKeys) {
 // ---------------------------------------------------------------------------
 // Split-batch equivalence
 
-/// Applies the same op sequence to a sharded store (parallel split path
-/// forced on) and an unsharded one, and compares full state and observer
-/// streams — split application must be invisible to every read surface.
+/// Applies the same op sequence to a sharded store (batches large enough for
+/// the parallel split path) and a one-shard one, and compares full state and
+/// observer streams — split application must be invisible to every read
+/// surface.
 TEST(ShardEquivalence, SplitBatchMatchesSerialBatchExactly) {
   ShardOptions so;
   so.shards = 4;
-  so.parallel_batch_min_ops = 1;  // force the parallel path even for tiny batches
   DataStore sharded(3, so);
   DataStore plain(3);
 
@@ -150,12 +147,13 @@ TEST(ShardEquivalence, SplitBatchMatchesSerialBatchExactly) {
 
   for (Timestamp wave = 1; wave <= 3; ++wave) {
     std::vector<std::string> rows;
-    for (std::size_t i = 0; i < 64; ++i) rows.push_back(row_name(i));
+    for (std::size_t i = 0; i < kParallelBatchMinOps / 2; ++i) rows.push_back(row_name(i));
     std::vector<PutOp> ops;
     for (std::size_t i = 0; i < rows.size(); ++i) {
       ops.push_back({rows[i], "a", static_cast<double>(wave * 1000 + i)});
       ops.push_back({rows[i], "b", static_cast<double>(i) * 0.5});
     }
+    ASSERT_GE(ops.size(), kParallelBatchMinOps);
     sharded.put_batch("t", wave, ops);
     plain.put_batch("t", wave, ops);
   }
@@ -209,7 +207,7 @@ TEST(ShardEquivalence, DefaultHelperPoolFanOutMatchesUnshardedStoreAndItsReplay)
       // The same cell twice in one batch: the later op must win, as in a
       // put() loop.
       ops.push_back({rows[7], "a", -1.0 * static_cast<double>(wave)});
-      ASSERT_GE(ops.size(), so.parallel_batch_min_ops);
+      ASSERT_GE(ops.size(), kParallelBatchMinOps);
       sharded.put_batch("t", wave, ops);
       plain.put_batch("t", wave, ops);
       sharded.commit_wave(wave);
@@ -260,11 +258,19 @@ TEST(ShardEquivalence, ScanOrderAndSnapshotMatchUnshardedStore) {
     EXPECT_EQ(*ss.entries()[i].col, *ps.entries()[i].col);
     EXPECT_EQ(ss.entries()[i].value, ps.entries()[i].value);
   }
-  // Multi-slot snapshots mint ids in per-shard interner spaces, so they must
-  // NOT advertise a shared keyspace (id equality across snapshots would lie);
-  // single-slot stores keep the id fast path.
-  EXPECT_EQ(ss.keyspace(), nullptr);
-  EXPECT_NE(ps.keyspace(), nullptr);
+  // Interned keys are stable per shard: a later snapshot of either store
+  // holds the very same key pointers, so compute_change's pointer fast path
+  // holds at any shard count.
+  const FlatSnapshot ss2 = sharded.snapshot_flat(ContainerRef::whole_table("t"));
+  const FlatSnapshot ps2 = plain.snapshot_flat(ContainerRef::whole_table("t"));
+  ASSERT_EQ(ss2.size(), ss.size());
+  ASSERT_EQ(ps2.size(), ps.size());
+  for (std::size_t i = 0; i < ss.size(); ++i) {
+    EXPECT_EQ(ss2.entries()[i].row, ss.entries()[i].row);
+    EXPECT_EQ(ss2.entries()[i].col, ss.entries()[i].col);
+    EXPECT_EQ(ps2.entries()[i].row, ps.entries()[i].row);
+    EXPECT_EQ(ps2.entries()[i].col, ps.entries()[i].col);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -273,11 +279,12 @@ TEST(ShardEquivalence, ScanOrderAndSnapshotMatchUnshardedStore) {
 TEST(ShardConcurrency, ConcurrentCrossShardWritersReadersAndScanners) {
   ShardOptions so;
   so.shards = 4;
-  so.parallel_batch_min_ops = 8;
   DataStore store(2, so);
 
   constexpr std::size_t kWriters = 4;
-  constexpr std::size_t kRowsPerWriter = 64;
+  // Batches of one op per row: at the fan-out threshold, so the parallel
+  // split path runs under TSan.
+  constexpr std::size_t kRowsPerWriter = kParallelBatchMinOps;
   constexpr std::size_t kWaves = 12;
   std::atomic<bool> stop{false};
 
@@ -344,7 +351,7 @@ TEST(ShardConcurrency, FannedOutBatchWritersRaceWaveCommitsOnDurableStore) {
   durability.flush = WalFlushPolicy::kEveryWave;
 
   constexpr std::size_t kWriters = 3;
-  constexpr std::size_t kRowsPerWriter = 300;  // above parallel_batch_min_ops
+  constexpr std::size_t kRowsPerWriter = 300;  // above kParallelBatchMinOps
   constexpr Timestamp kWaves = 8;
   std::string live_dump;
   {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -38,14 +39,24 @@ std::vector<WalRecord> read_all(const std::string& path, WalReader::Next* termin
   }
 }
 
+/// (shard, seq) of a parsed segment name, for compact comparisons.
+std::optional<std::pair<std::size_t, std::uint64_t>> parsed(std::string_view name) {
+  const auto id = parse_any_wal_segment_name(name);
+  if (!id) return std::nullopt;
+  return std::make_pair(id->shard, id->seq);
+}
+
 TEST(WalNames, SegmentAndCheckpointNamesRoundTrip) {
-  EXPECT_EQ(wal_segment_name(42), "wal-000042.sflog");
-  EXPECT_EQ(parse_wal_segment_name("wal-000042.sflog"), std::optional<std::uint64_t>{42});
-  EXPECT_EQ(parse_wal_segment_name(wal_segment_name(1234567)),
-            std::optional<std::uint64_t>{1234567});
-  EXPECT_EQ(parse_wal_segment_name("wal-xx.sflog"), std::nullopt);
-  EXPECT_EQ(parse_wal_segment_name("checkpoint-000001.sfck"), std::nullopt);
-  EXPECT_EQ(parse_wal_segment_name("wal-.sflog"), std::nullopt);
+  EXPECT_EQ(sharded_wal_segment_name(3, 42), "wal-s3-000042.sflog");
+  EXPECT_EQ(parsed("wal-s3-000042.sflog"), std::make_pair(std::size_t{3}, std::uint64_t{42}));
+  EXPECT_EQ(parsed(sharded_wal_segment_name(0, 1234567)),
+            std::make_pair(std::size_t{0}, std::uint64_t{1234567}));
+  // The unsharded name of older builds still reads, as shard 0.
+  EXPECT_EQ(parsed("wal-000042.sflog"), std::make_pair(std::size_t{0}, std::uint64_t{42}));
+  EXPECT_EQ(parsed("wal-xx.sflog"), std::nullopt);
+  EXPECT_EQ(parsed("wal-s1-xx.sflog"), std::nullopt);
+  EXPECT_EQ(parsed("checkpoint-000001.sfck"), std::nullopt);
+  EXPECT_EQ(parsed("wal-.sflog"), std::nullopt);
 
   EXPECT_EQ(checkpoint_file_name(7), "checkpoint-000007.sfck");
   EXPECT_EQ(parse_checkpoint_file_name("checkpoint-000007.sfck"),
@@ -56,16 +67,20 @@ TEST(WalNames, SegmentAndCheckpointNamesRoundTrip) {
 TEST(Wal, EveryRecordKindRoundTrips) {
   const std::string path = temp_path("sf_wal_roundtrip.sflog");
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr);
-    writer.append_create_table("t");
+    // Data records draw their lsn from the shared counter; broadcast kinds
+    // take the one they are given.
+    std::atomic<std::uint64_t> lsn{0};
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr, lsn, "wal-s0");
+    writer.append_create_table("t", lsn++);
     writer.append_put("t", "r1", "c1", 5, 1.25);
     const std::vector<PutOp> ops = {{"r2", "c1", 2.0}, {"r3", "c2", -3.5}};
     writer.append_batch("t", 6, ops);
     writer.append_erase("t", "r1", "c1", 7);
-    writer.append_drop_table("t");
-    writer.append_clear();
-    writer.append_wave_commit(9);
+    writer.append_drop_table("t", lsn++);
+    writer.append_clear(lsn++);
+    writer.append_wave_commit(9, lsn++);
     EXPECT_EQ(writer.record_seq(), 7u);
+    EXPECT_EQ(lsn.load(), 7u);
     EXPECT_FALSE(writer.broken());
   }
 
@@ -73,6 +88,7 @@ TEST(Wal, EveryRecordKindRoundTrips) {
   const auto records = read_all(path, &terminal);
   EXPECT_EQ(terminal, WalReader::Next::kEnd);
   ASSERT_EQ(records.size(), 7u);
+  for (std::size_t i = 0; i < records.size(); ++i) EXPECT_EQ(records[i].lsn, i);
 
   EXPECT_EQ(records[0].kind, WalRecordKind::kCreateTable);
   EXPECT_EQ(records[0].table, "t");
@@ -104,7 +120,8 @@ TEST(Wal, EveryRecordKindRoundTrips) {
 
 TEST(Wal, EmptySegmentIsCleanEnd) {
   const std::string path = temp_path("sf_wal_empty.sflog");
-  { WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr); }
+  std::atomic<std::uint64_t> lsn{0};
+  { WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr, lsn, "wal-s0"); }
   WalReader::Next terminal{};
   EXPECT_TRUE(read_all(path, &terminal).empty());
   EXPECT_EQ(terminal, WalReader::Next::kEnd);
@@ -112,9 +129,10 @@ TEST(Wal, EmptySegmentIsCleanEnd) {
 
 TEST(Wal, PartialTrailingRecordIsToleratedTruncation) {
   const std::string path = temp_path("sf_wal_torn.sflog");
+  std::atomic<std::uint64_t> lsn{0};
   std::uint64_t clean_size = 0;
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr);
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr, lsn, "wal-s0");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_put("t", "r", "c", 2, 2.0);
     clean_size = writer.bytes_appended();
@@ -136,8 +154,9 @@ TEST(Wal, PartialTrailingRecordIsToleratedTruncation) {
 
 TEST(Wal, CorruptFinalRecordIsToleratedTruncation) {
   const std::string path = temp_path("sf_wal_badtail.sflog");
+  std::atomic<std::uint64_t> lsn{0};
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr);
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr, lsn, "wal-s0");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_put("t", "r", "c", 2, 2.0);
   }
@@ -156,8 +175,9 @@ TEST(Wal, CorruptFinalRecordIsToleratedTruncation) {
 
 TEST(Wal, MidLogCorruptionIsHardError) {
   const std::string path = temp_path("sf_wal_midcorrupt.sflog");
+  std::atomic<std::uint64_t> lsn{0};
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr);
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, nullptr, lsn, "wal-s0");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_put("t", "r", "c", 2, 2.0);
     writer.append_put("t", "r", "c", 3, 3.0);
@@ -200,49 +220,59 @@ TEST(Wal, AbsurdRecordLengthIsHardError) {
 
 TEST(Wal, FlushPolicyGovernsSyncCadence) {
   const std::vector<PutOp> ops = {{"r", "c", 1.0}};
+  std::atomic<std::uint64_t> lsn{0};
 
   {
-    WalWriter writer(temp_path("sf_wal_policy_op.sflog"), WalFlushPolicy::kEveryOp, nullptr);
+    WalWriter writer(temp_path("sf_wal_policy_op.sflog"), WalFlushPolicy::kEveryOp, nullptr, lsn,
+                     "wal-s0");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_put("t", "r", "c", 2, 2.0);
     writer.append_batch("t", 3, ops);
     EXPECT_EQ(writer.sync_count(), 3u);  // one per record
-    writer.append_wave_commit(1);
+    writer.append_wave_commit(1, lsn++);
+    EXPECT_EQ(writer.sync_count(), 3u);  // phase 1 of a wave commit flushes only
+    writer.sync();
     EXPECT_EQ(writer.sync_count(), 4u);
   }
   {
     WalWriter writer(temp_path("sf_wal_policy_batch.sflog"), WalFlushPolicy::kEveryBatch,
-                     nullptr);
+                     nullptr, lsn, "wal-s0");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_put("t", "r", "c", 2, 2.0);
     EXPECT_EQ(writer.sync_count(), 0u);  // singles ride along
     writer.append_batch("t", 3, ops);
     EXPECT_EQ(writer.sync_count(), 1u);  // batch is the durability unit
-    writer.append_create_table("u");
+    writer.append_create_table("u", lsn++);
     EXPECT_EQ(writer.sync_count(), 2u);  // structural records sync too
-    writer.append_wave_commit(1);
+    writer.append_wave_commit(1, lsn++);
+    EXPECT_EQ(writer.sync_count(), 2u);
+    writer.sync();
     EXPECT_EQ(writer.sync_count(), 3u);
   }
   {
-    WalWriter writer(temp_path("sf_wal_policy_wave.sflog"), WalFlushPolicy::kEveryWave,
-                     nullptr);
+    const std::string path = temp_path("sf_wal_policy_wave.sflog");
+    WalWriter writer(path, WalFlushPolicy::kEveryWave, nullptr, lsn, "wal-s0");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_batch("t", 2, ops);
-    writer.append_create_table("u");
-    EXPECT_EQ(writer.sync_count(), 0u);  // nothing syncs before the wave
-    writer.append_wave_commit(1);
-    EXPECT_EQ(writer.sync_count(), 1u);  // the wave commit always does
+    writer.append_create_table("u", lsn++);
+    EXPECT_EQ(std::filesystem::file_size(path), 0u);  // still buffered
+    writer.append_wave_commit(1, lsn++);
+    EXPECT_EQ(writer.sync_count(), 0u);  // nothing syncs before the wave's phase 2
+    EXPECT_EQ(std::filesystem::file_size(path), writer.bytes_appended());  // phase 1 flushed
+    writer.sync();
+    EXPECT_EQ(writer.sync_count(), 1u);
   }
 }
 
 TEST(Wal, InjectedCrashWritesNothingForTheMatchedRecord) {
   const std::string path = temp_path("sf_wal_crash.sflog");
+  std::atomic<std::uint64_t> lsn{0};
   FaultInjector injector(1);
   injector.add_disk_rule(
-      DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal", .first_record = 2,
+      DiskFaultRule{.kind = DiskFaultKind::kCrash, .file_tag = "wal-s0", .first_record = 2,
                     .last_record = 2});
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector);
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector, lsn, "wal-s0");
     writer.append_put("t", "r", "c", 1, 1.0);
     writer.append_put("t", "r", "c", 2, 2.0);
     EXPECT_THROW(writer.append_put("t", "r", "c", 3, 3.0), InjectedFault);
@@ -262,13 +292,14 @@ TEST(Wal, InjectedCrashWritesNothingForTheMatchedRecord) {
 
 TEST(Wal, InjectedTornWriteLeavesGenuinelyPartialRecord) {
   const std::string path = temp_path("sf_wal_ftorn.sflog");
+  std::atomic<std::uint64_t> lsn{0};
   FaultInjector injector(2);
   injector.add_disk_rule(
-      DiskFaultRule{.kind = DiskFaultKind::kTornWrite, .file_tag = "wal", .first_record = 1,
+      DiskFaultRule{.kind = DiskFaultKind::kTornWrite, .file_tag = "wal-s0", .first_record = 1,
                     .last_record = 1});
   std::uint64_t clean = 0;
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector);
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector, lsn, "wal-s0");
     writer.append_put("t", "r", "c", 1, 1.0);
     clean = writer.bytes_appended();
     EXPECT_THROW(writer.append_put("t", "row-two", "col-two", 2, 2.0), InjectedFault);
@@ -285,11 +316,12 @@ TEST(Wal, InjectedTornWriteLeavesGenuinelyPartialRecord) {
 
 TEST(Wal, InjectedShortWriteDropsExactlyOneByte) {
   const std::string path = temp_path("sf_wal_short.sflog");
+  std::atomic<std::uint64_t> lsn{0};
   FaultInjector injector(3);
   injector.add_disk_rule(
-      DiskFaultRule{.kind = DiskFaultKind::kShortWrite, .file_tag = "wal"});
+      DiskFaultRule{.kind = DiskFaultKind::kShortWrite, .file_tag = "wal-s0"});
   {
-    WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector);
+    WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector, lsn, "wal-s0");
     EXPECT_THROW(writer.append_put("t", "r", "c", 1, 1.0), InjectedFault);
   }
   // Full frame minus one byte: length and CRC are present, payload is short.
@@ -301,11 +333,12 @@ TEST(Wal, InjectedShortWriteDropsExactlyOneByte) {
 
 TEST(Wal, InjectedFsyncFailureIsFatalForTheWriter) {
   const std::string path = temp_path("sf_wal_fsyncfail.sflog");
+  std::atomic<std::uint64_t> lsn{0};
   FaultInjector injector(4);
   injector.add_disk_rule(
-      DiskFaultRule{.kind = DiskFaultKind::kFsyncFail, .file_tag = "wal", .first_record = 1,
+      DiskFaultRule{.kind = DiskFaultKind::kFsyncFail, .file_tag = "wal-s0", .first_record = 1,
                     .last_record = 1});
-  WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector);
+  WalWriter writer(path, WalFlushPolicy::kEveryOp, &injector, lsn, "wal-s0");
   writer.append_put("t", "r", "c", 1, 1.0);
   // fsyncgate: after a failed fsync the page-cache state is unknowable, so
   // the writer must not carry on as if retrying were safe.
