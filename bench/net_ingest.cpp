@@ -22,7 +22,10 @@
 // scheduler conditions. Each phase also reports cpu_us_per_request, the
 // process CPU time (CLOCK_PROCESS_CPUTIME_ID) per request: the clients share
 // the process, so it covers the whole loopback round trip, and host steal
-// does not move it the way it moves req/s.
+// does not move it the way it moves req/s. The same figure is broken down
+// by thread (CLOCK_THREAD_CPUTIME_ID): the event loops, the wave driver,
+// the feeders, and the rest of the process (the engine's helper and ingest
+// threads), so the one that burns CPU in proportion to wall time shows.
 //
 // Self-checks (exit 1): every ingest response is 202, every posted row is
 // drained into the store by the final wave, a spot cell is readable over
@@ -75,12 +78,17 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// CPU time consumed so far by every thread of this process, in µs.
-double process_cpu_us() {
+double cpu_clock_us(clockid_t clock) {
   timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  clock_gettime(clock, &ts);
   return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) * 1e-3;
 }
+
+/// CPU time consumed so far by every thread of this process, in µs.
+double process_cpu_us() { return cpu_clock_us(CLOCK_PROCESS_CPUTIME_ID); }
+
+/// CPU time consumed so far by the calling thread, in µs.
+double thread_cpu_us() { return cpu_clock_us(CLOCK_THREAD_CPUTIME_ID); }
 
 double micros_since(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
@@ -123,6 +131,7 @@ struct FeederResult {
   std::size_t requests = 0;
   std::size_t rows = 0;
   std::size_t bad_status = 0;
+  double cpu_us = 0.0;  ///< the feeder thread's whole lifetime
 };
 
 struct IngestPhaseResult {
@@ -134,6 +143,12 @@ struct IngestPhaseResult {
   /// Process CPU time per request over the phase. Host steal slows the wall
   /// clock but not this, so it tracks hot-path cost where req/s cannot.
   double cpu_us_per_request = 0.0;
+  /// The same CPU split by thread: event loops (summed), the wave driver,
+  /// the feeders (summed) and the rest of the process.
+  double loops_cpu_us_per_request = 0.0;
+  double driver_cpu_us_per_request = 0.0;
+  double feeders_cpu_us_per_request = 0.0;
+  double other_cpu_us_per_request = 0.0;
   std::size_t requests = 0;
   std::size_t rows = 0;
   std::size_t waves = 0;
@@ -204,6 +219,7 @@ IngestPhaseResult run_ingest_phase(std::size_t loop_threads, std::size_t rounds)
           if (response.status != 202) ++result.bad_status;
         }
       }
+      result.cpu_us = thread_cpu_us();
     });
   }
 
@@ -212,6 +228,7 @@ IngestPhaseResult run_ingest_phase(std::size_t loop_threads, std::size_t rounds)
   wms::SyncController sync;
   ds::Timestamp next_wave = 1;
   std::size_t waves_run = 0;
+  double driver_cpu_us = 0.0;
   std::thread driver([&] {
     while (!feeders_done.load(std::memory_order_acquire)) {
       if (bridge.staged_rows() == 0) {
@@ -226,6 +243,7 @@ IngestPhaseResult run_ingest_phase(std::size_t loop_threads, std::size_t rounds)
     }
     engine.run_waves_pipelined(next_wave, 1, sync, ingest);
     ++waves_run;
+    driver_cpu_us = thread_cpu_us();
   });
 
   for (auto& thread : feeders) thread.join();
@@ -237,7 +255,9 @@ IngestPhaseResult run_ingest_phase(std::size_t loop_threads, std::size_t rounds)
   IngestPhaseResult out;
   std::size_t bad_status = 0;
   std::vector<double> latencies;
+  double feeders_cpu_us = 0.0;
   for (const FeederResult& result : results) {
+    feeders_cpu_us += result.cpu_us;
     out.requests += result.requests;
     out.rows += result.rows;
     bad_status += result.bad_status;
@@ -249,7 +269,10 @@ IngestPhaseResult run_ingest_phase(std::size_t loop_threads, std::size_t rounds)
   out.rows_per_sec = static_cast<double>(out.rows) / wall_seconds;
   out.p50_us = quantile(latencies, 0.50);
   out.p99_us = quantile(latencies, 0.99);
-  out.cpu_us_per_request = cpu_us / static_cast<double>(std::max<std::size_t>(out.requests, 1));
+  const double per_request = 1.0 / static_cast<double>(std::max<std::size_t>(out.requests, 1));
+  out.cpu_us_per_request = cpu_us * per_request;
+  out.driver_cpu_us_per_request = driver_cpu_us * per_request;
+  out.feeders_cpu_us_per_request = feeders_cpu_us * per_request;
   out.waves = waves_run;
 
   if (bad_status != 0) {
@@ -278,6 +301,7 @@ IngestPhaseResult run_ingest_phase(std::size_t loop_threads, std::size_t rounds)
       ++out.failures;
     }
   }
+  server.stop();  // loop CPU is exact once the loops have exited
   const net::ServerStats stats = server.stats();
   if (stats.slow_disconnects != 0 || stats.parse_errors != 0) {
     std::fprintf(stderr, "FAIL: unexpected slow_disconnects=%llu parse_errors=%llu\n",
@@ -285,7 +309,9 @@ IngestPhaseResult run_ingest_phase(std::size_t loop_threads, std::size_t rounds)
                  static_cast<unsigned long long>(stats.parse_errors));
     ++out.failures;
   }
-  server.stop();
+  out.loops_cpu_us_per_request = static_cast<double>(stats.loop_cpu_us) * per_request;
+  out.other_cpu_us_per_request = out.cpu_us_per_request - out.loops_cpu_us_per_request -
+                                 out.driver_cpu_us_per_request - out.feeders_cpu_us_per_request;
   return out;
 }
 
@@ -403,9 +429,13 @@ ScanPhaseResult run_scan_phase(std::size_t cells) {
 void print_ingest_phase(const char* key, const IngestPhaseResult& r, const char* trailing) {
   std::printf("    \"%s\": {\"requests_per_sec\": %.0f, \"rows_per_sec\": %.0f, "
               "\"p50_us\": %.0f, \"p99_us\": %.0f, \"cpu_us_per_request\": %.1f, "
+              "\"cpu_us_per_request_by_thread\": {\"loops\": %.1f, \"driver\": %.1f, "
+              "\"feeders\": %.1f, \"other\": %.1f}, "
               "\"requests\": %zu, \"waves\": %zu, \"wall_seconds\": %.3f}%s\n",
               key, r.requests_per_sec, r.rows_per_sec, r.p50_us, r.p99_us, r.cpu_us_per_request,
-              r.requests, r.waves, r.wall_seconds, trailing);
+              r.loops_cpu_us_per_request, r.driver_cpu_us_per_request,
+              r.feeders_cpu_us_per_request, r.other_cpu_us_per_request, r.requests, r.waves,
+              r.wall_seconds, trailing);
 }
 
 }  // namespace
@@ -464,7 +494,10 @@ int main(int argc, char** argv) {
   std::printf("  \"reps\": %zu,\n", reps);
   std::printf("  \"cpu_us_per_request_note\": \"process CPU time (CLOCK_PROCESS_CPUTIME_ID) "
               "per request over a phase; the feeder clients and the wave engine share the "
-              "process, so it covers the whole loopback round trip, not the server alone\",\n");
+              "process, so it covers the whole loopback round trip, not the server alone; "
+              "cpu_us_per_request_by_thread splits it with CLOCK_THREAD_CPUTIME_ID into the "
+              "event loops (to their exit, so the two self-check requests are included), the "
+              "wave driver, the feeders, and the rest of the process\",\n");
   std::printf("  \"ingest\": {\n");
   print_ingest_phase(configs[0].key, best[0], ",");
   print_ingest_phase(configs[1].key, best[1], ",");

@@ -10,7 +10,10 @@
 // the filesystem coalesces them into shared journal commits, so throughput
 // rises monotonically with the shard count until the caller count caps it
 // (on multi-core hosts the split table lock domains add a second win).
-// Scans run in-memory against concurrent writers.
+// Scans run in-memory against concurrent writers. A no-writer probe times
+// one snapshot_flat of the same 8,192-cell table per shard count (the
+// gather: one sorted run per slot, no cross-slot sort) and one merged walk
+// of it in global (row, column) order, the work an ordered reader adds.
 //
 // Part 2 runs a feed+compute workflow twice over the same waves against a
 // durable store: serially (the feed step ingests inside the wave, paying its
@@ -36,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_env.h"
 #include "datastore/client.h"
 #include "datastore/datastore.h"
 #include "datastore/shard_ring.h"
@@ -56,6 +60,7 @@ constexpr std::size_t kBatchOps = 64;       // put_batch: ops per batch
 constexpr std::size_t kBatchesPerThread = 32;
 constexpr std::size_t kScanRows = 8192;     // scan: table size under writers
 constexpr std::size_t kScansPerReader = 40;
+constexpr int kSnapshotSamples = 201;       // no-writer snapshot probe: median of these
 // Pipeline workload shape: the feed writes kFeedBatches shard-affine durable
 // batches per wave (each one WAL record + fsync under kEveryBatch), the
 // compute step burns CPU reading the feed as-of its own wave. The store is
@@ -204,6 +209,38 @@ double scans_per_sec(std::size_t shards, std::size_t threads) {
   return best;
 }
 
+/// No-writer snapshot probe: median µs of one snapshot_flat of a
+/// kScanRows-cell table, and of one merged walk over that snapshot.
+struct SnapshotLatency {
+  double snapshot_flat_us = 0.0;
+  double merged_walk_us = 0.0;
+};
+
+SnapshotLatency snapshot_latency(std::size_t shards) {
+  ds::ShardOptions so;
+  so.shards = shards;
+  ds::DataStore store(2, so);
+  for (std::size_t i = 0; i < kScanRows; ++i) {
+    store.put("grid", "r" + std::to_string(i), "v", 1, static_cast<double>(i));
+  }
+  const auto container = ds::ContainerRef::whole_table("grid");
+  (void)store.snapshot_flat(container);  // builds each slot's sorted index once
+  std::vector<double> take, walk;
+  double sink = 0.0;
+  for (int i = 0; i < kSnapshotSamples; ++i) {
+    const auto t0 = Clock::now();
+    const ds::FlatSnapshot snap = store.snapshot_flat(container);
+    take.push_back(elapsed_ns(t0) * 1e-3);
+    const auto t1 = Clock::now();
+    for (const ds::FlatEntry& e : snap) sink += e.value;
+    walk.push_back(elapsed_ns(t1) * 1e-3);
+  }
+  if (sink < 0.0) std::printf("%f", sink);  // defeat dead-code elimination
+  std::sort(take.begin(), take.end());
+  std::sort(walk.begin(), walk.end());
+  return {take[take.size() / 2], walk[walk.size() / 2]};
+}
+
 /// Feed rows, grouped by batch: batch b's rows all route to shard
 /// b % kPipelineShards, so each durable put_batch is one WAL record + one
 /// fsync in exactly one family and write-locks exactly one slot.
@@ -320,29 +357,37 @@ int main() {
     double put;
     double batch;
     double scan;
+    SnapshotLatency snapshot;
   };
   const std::string dir = "/tmp/sf_shard_scaling_bench";
   std::vector<Row> rows;
   for (std::size_t shards : shard_counts) {
     rows.push_back({shards, put_ops_per_sec(shards, threads, dir),
-                    batch_ops_per_sec(shards, threads, dir), scans_per_sec(shards, threads)});
+                    batch_ops_per_sec(shards, threads, dir), scans_per_sec(shards, threads),
+                    snapshot_latency(shards)});
   }
   const double serial_ns = pipeline_ns_per_wave(false, dir);
   const double pipelined_ns = pipeline_ns_per_wave(true, dir);
 
   std::printf("{\n");
-  std::printf("  \"bench\": \"shard_scaling\",\n");
+  bench::print_json_header("shard_scaling", kReps);
   std::printf("  \"caller_threads\": %zu,\n", static_cast<std::size_t>(threads));
+  std::printf("  \"snapshot_cells\": %zu,\n", kScanRows);
   std::printf(
       "  \"note\": \"durable shard-affine callers: one shard serializes every caller's fsync "
       "on a single WAL family, N shards let group-commits to different segment files overlap; "
-      "scan is in-memory against concurrent writers and pays the cross-shard merge\",\n");
+      "scan is in-memory against concurrent writers and pays the cross-shard merge; "
+      "snapshot_flat_us and merged_walk_us are no-writer medians of %d samples over "
+      "snapshot_cells cells: one snapshot_flat (per-slot runs, no sort) and one walk of it "
+      "in global order (k-way merge of the run heads)\",\n",
+      kSnapshotSamples);
   std::printf("  \"shards\": [\n");
   for (std::size_t k = 0; k < rows.size(); ++k) {
     std::printf(
         "    {\"shards\": %zu, \"put_ops_per_sec\": %.0f, \"put_batch_ops_per_sec\": %.0f, "
-        "\"scans_per_sec\": %.0f}%s\n",
+        "\"scans_per_sec\": %.0f, \"snapshot_flat_us\": %.1f, \"merged_walk_us\": %.1f}%s\n",
         rows[k].shards, rows[k].put, rows[k].batch, rows[k].scan,
+        rows[k].snapshot.snapshot_flat_us, rows[k].snapshot.merged_walk_us,
         k + 1 < rows.size() ? "," : "");
   }
   std::printf("  ],\n");

@@ -114,14 +114,33 @@ std::unique_ptr<ChangeMetric> make_error_metric(ErrorKind kind, double value_ran
 
 namespace {
 
-/// Three-way order of two flat entries by (row, column) string order, with
-/// the interned-key fast path: pointer-equal keys are the same element (the
-/// snapshots' keepalives stop the storage from being reused), no string
-/// touch needed.
-int compare_entries(const ds::FlatEntry& a, const ds::FlatEntry& b) noexcept {
-  if (a.row == b.row && a.col == b.col) return 0;
-  if (const int r = a.row->compare(*b.row); r != 0) return r;
-  return a.col->compare(*b.col);
+/// Merge-joins two (row, column)-ordered entry sequences into `metric`
+/// (inserts, deletes, modified pairs) and adds every previous value to
+/// `previous_total` in visit order.
+template <typename CurIt, typename PrevIt>
+void merge_join(CurIt cur, CurIt cur_end, PrevIt prev, PrevIt prev_end, ChangeMetric& metric,
+                double& previous_total) {
+  while (cur != cur_end || prev != prev_end) {
+    if (prev == prev_end) {
+      metric.update(cur->value, 0.0);  // insert
+      ++cur;
+      continue;
+    }
+    const int cmp = cur == cur_end ? 1 : ds::compare_entries(*cur, *prev);
+    if (cmp < 0) {
+      metric.update(cur->value, 0.0);  // insert
+      ++cur;
+      continue;
+    }
+    previous_total += prev->value;
+    if (cmp > 0) {
+      metric.update(0.0, prev->value);  // delete
+    } else {
+      if (cur->value != prev->value) metric.update(cur->value, prev->value);
+      ++cur;
+    }
+    ++prev;
+  }
 }
 
 }  // namespace
@@ -130,31 +149,20 @@ double compute_change(const ds::FlatSnapshot& current, const ds::FlatSnapshot& p
                       ChangeMetric& metric) {
   metric.reset();
   double previous_total = 0.0;
-  for (const ds::FlatEntry& e : previous.entries()) previous_total += e.value;
-
-  auto cur = current.begin();
-  auto prev = previous.begin();
-  while (cur != current.end() || prev != previous.end()) {
-    if (prev == previous.end()) {
-      metric.update(cur->value, 0.0);  // insert
-      ++cur;
-    } else if (cur == current.end()) {
-      metric.update(0.0, prev->value);  // delete
-      ++prev;
-    } else {
-      const int cmp = compare_entries(*cur, *prev);
-      if (cmp < 0) {
-        metric.update(cur->value, 0.0);  // insert
-        ++cur;
-      } else if (cmp > 0) {
-        metric.update(0.0, prev->value);  // delete
-        ++prev;
-      } else {
-        if (cur->value != prev->value) metric.update(cur->value, prev->value);
-        ++cur;
-        ++prev;
-      }
+  const auto cur_runs = current.runs();
+  const auto prev_runs = previous.runs();
+  if (current.source() != nullptr && current.source() == previous.source() &&
+      cur_runs.size() == prev_runs.size()) {
+    // One table entry: run r of both snapshots holds the rows of slot r, so
+    // the join never crosses runs.
+    for (std::size_t r = 0; r < cur_runs.size(); ++r) {
+      const auto c = cur_runs[r];
+      const auto p = prev_runs[r];
+      merge_join(c.begin(), c.end(), p.begin(), p.end(), metric, previous_total);
     }
+  } else {
+    merge_join(current.begin(), current.end(), previous.begin(), previous.end(), metric,
+               previous_total);
   }
   const std::size_t n = current.empty() ? previous.size() : current.size();
   return metric.compute(n, previous_total);

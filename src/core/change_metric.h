@@ -112,12 +112,16 @@ std::unique_ptr<ChangeMetric> make_error_metric(ErrorKind kind, double value_ran
 double compute_change(const std::map<std::string, double>& current,
                       const std::map<std::string, double>& previous, ChangeMetric& metric);
 
-/// Same diff over two flat snapshots (merge-join of the sorted entry
-/// vectors): no per-element allocation, and an element whose interned key
-/// pointers are equal in both snapshots (same table, any shard count) is
-/// matched by two pointer compares instead of string comparisons. Produces the same values
-/// as the map-based overload — classification and visit order match —
-/// proven by the flat-vs-map equivalence tests.
+/// Same diff over two flat snapshots, with no per-element allocation. An
+/// element whose interned key pointers are equal in both snapshots is
+/// matched by two pointer compares instead of string comparisons. Two
+/// snapshots of one table entry with the same run count are merge-joined
+/// run by run (slot by slot); any other pair (other store, other ring, a
+/// default snapshot) is merge-joined in merged global order. Element
+/// classification always matches the map-based overload. The merged walk
+/// also visits in its order, so its values are bit-identical; so are the
+/// run-by-run join's at one shard (one run). At more shards the run-by-run
+/// join folds updates and Σx′ in run order, which may move the last ulps.
 double compute_change(const ds::FlatSnapshot& current, const ds::FlatSnapshot& previous,
                       ChangeMetric& metric);
 

@@ -166,8 +166,11 @@ ExperimentResult Experiment::evaluate(
       // Measured error: adaptive (possibly stale) output vs shadow output.
       double measured = 0.0;
       for (const auto& container : step.outputs) {
-        // Different stores share no interned key pointers, so the merge-join
-        // compares strings — still allocation-free per element.
+        // Different stores share no interned key pointers and may route rows
+        // to different slots, so compute_change joins the two snapshots in
+        // merged global order (the map path's visit order, so the values
+        // match it bit for bit) and compares strings — still
+        // allocation-free per element.
         const auto fresh = shadow_store.snapshot_flat(container);
         const auto stale = adaptive_store.snapshot_flat(container);
         auto metric = make_error_metric(options_.smartflux.monitor.error,

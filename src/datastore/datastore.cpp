@@ -589,28 +589,27 @@ std::optional<double> DataStore::get_previous_at(const TableName& table, const R
   return slot.table.get_previous_at(row, column, ts);
 }
 
-std::vector<FlatEntry> DataStore::gather(const TableEntry& entry, const ContainerRef& container,
-                                         std::optional<Timestamp> at) const {
+FlatSnapshot DataStore::gather(std::shared_ptr<const TableEntry> entry,
+                              const ContainerRef& container, std::optional<Timestamp> at) const {
   // Lock every slot shared in index order (same-rank order rule) and collect
-  // the matches. Each slot yields its own arc of the ring already in (row,
-  // column) order, so only a gather that more than one slot contributed to
-  // needs the sort that restores global order. Sorting after the unlock
-  // keeps the slot critical sections short.
+  // the matches slot by slot. Each slot yields its own rows already in (row,
+  // column) order, so the result is one sorted run per slot; readers that
+  // need global order merge the run heads.
   std::vector<FlatEntry> out;
+  std::vector<std::size_t> run_ends;
+  run_ends.reserve(entry->slots.size());
   const bool unfiltered = !container.has_column() && !container.has_row_prefix();
-  std::size_t contributing_slots = 0;
   {
     LockRankScope table_rank(kLockRankTable);
     std::vector<std::shared_lock<std::shared_mutex>> locks;
-    locks.reserve(entry.slots.size());
-    for (const auto& slot : entry.slots) locks.emplace_back(slot->mutex);
+    locks.reserve(entry->slots.size());
+    for (const auto& slot : entry->slots) locks.emplace_back(slot->mutex);
     if (unfiltered) {
       std::size_t cells = 0;
-      for (const auto& slot : entry.slots) cells += slot->table.cell_count();
+      for (const auto& slot : entry->slots) cells += slot->table.cell_count();
       out.reserve(cells);
     }
-    for (const auto& slot : entry.slots) {
-      const std::size_t before = out.size();
+    for (const auto& slot : entry->slots) {
       const auto keep = [&](const Table::CellView& cv) {
         if (unfiltered || container.matches_cell(*cv.row, *cv.col)) {
           out.push_back(FlatEntry{cv.row, cv.col, cv.value});
@@ -621,16 +620,10 @@ std::vector<FlatEntry> DataStore::gather(const TableEntry& entry, const Containe
       } else {
         slot->table.scan_cells(keep);
       }
-      if (out.size() > before) ++contributing_slots;
+      run_ends.push_back(out.size());
     }
   }
-  if (contributing_slots > 1) {
-    std::sort(out.begin(), out.end(), [](const FlatEntry& a, const FlatEntry& b) {
-      const int cmp = a.row->compare(*b.row);
-      return cmp != 0 ? cmp < 0 : a.col->compare(*b.col) < 0;
-    });
-  }
-  return out;
+  return FlatSnapshot(std::move(entry), std::move(out), std::move(run_ends));
 }
 
 void DataStore::scan_container(
@@ -641,9 +634,10 @@ void DataStore::scan_container(
     obs_->scans->inc();
     t0 = std::chrono::steady_clock::now();
   }
-  // `entry` keeps the interned keys alive while the visitor runs unlocked.
-  if (const auto entry = find_entry(container.table())) {
-    for (const FlatEntry& e : gather(*entry, container, std::nullopt)) {
+  // The snapshot keeps the interned keys alive while the visitor runs
+  // unlocked.
+  if (auto entry = find_entry(container.table())) {
+    for (const FlatEntry& e : gather(std::move(entry), container, std::nullopt)) {
       visit(*e.row, *e.col, e.value);
     }
   }
@@ -654,9 +648,11 @@ void DataStore::scan_container_at(
     const ContainerRef& container, Timestamp ts,
     const std::function<void(const RowKey&, const ColumnKey&, double)>& visit) const {
   if (obs_) obs_->scans->inc();
-  const auto entry = find_entry(container.table());
+  auto entry = find_entry(container.table());
   if (entry == nullptr) return;
-  for (const FlatEntry& e : gather(*entry, container, ts)) visit(*e.row, *e.col, e.value);
+  for (const FlatEntry& e : gather(std::move(entry), container, ts)) {
+    visit(*e.row, *e.col, e.value);
+  }
 }
 
 FlatSnapshot DataStore::snapshot_flat(const ContainerRef& container) const {
@@ -665,9 +661,10 @@ FlatSnapshot DataStore::snapshot_flat(const ContainerRef& container) const {
     obs_->scans->inc();
     t0 = std::chrono::steady_clock::now();
   }
-  const auto entry = find_entry(container.table());
   FlatSnapshot out;
-  if (entry != nullptr) out = FlatSnapshot(entry, gather(*entry, container, std::nullopt));
+  if (auto entry = find_entry(container.table())) {
+    out = gather(std::move(entry), container, std::nullopt);
+  }
   if (obs_) obs_->observe_scan(container.table(), t0);
   return out;
 }

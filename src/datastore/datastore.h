@@ -138,7 +138,8 @@ class DataStore {
                                         const ColumnKey& column, Timestamp ts) const;
 
   /// Visits the latest value of every cell inside `container`, in
-  /// (row, column) order.
+  /// (row, column) order: the per-slot runs of a gather, merged head by
+  /// head (O(n log shards) compares, no sort).
   ///
   /// Lock contract: the matching cells are gathered under the table's shared
   /// slot locks, and the visitor runs after every lock is released. It may
@@ -157,10 +158,11 @@ class DataStore {
       const ContainerRef& container, Timestamp ts,
       const std::function<void(const RowKey&, const ColumnKey&, double)>& visit) const;
 
-  /// Flat snapshot of a container: contiguous entries in (row, column)
-  /// order with interner-backed zero-copy key views — the cheap path
-  /// monitoring harvests through. The snapshot stays valid after
-  /// `drop_table`/`clear` (it keeps the source table alive).
+  /// Flat snapshot of a container: one (row, column)-sorted run per slot
+  /// with interner-backed zero-copy key views — the cheap path monitoring
+  /// harvests through. Iterating it merges the runs into global order. The
+  /// snapshot stays valid after `drop_table`/`clear` (it keeps the source
+  /// table alive).
   FlatSnapshot snapshot_flat(const ContainerRef& container) const;
 
   /// Dense snapshot of a container keyed by "row\x1f column". Kept for
@@ -310,9 +312,11 @@ class DataStore {
                          std::vector<std::pair<double, bool>>* previous);
   /// The one read path behind every scan and snapshot: locks all slots of
   /// the table shared, collects the cells of `container` (latest, or as of
-  /// `at`) in (row, column) order, and releases the locks before returning.
-  std::vector<FlatEntry> gather(const TableEntry& entry, const ContainerRef& container,
-                                std::optional<Timestamp> at) const;
+  /// `at`) as one (row, column)-sorted run per slot, empty runs included,
+  /// and releases the locks before returning. It does not sort across
+  /// slots: the snapshot's iterator merges the runs for ordered readers.
+  FlatSnapshot gather(std::shared_ptr<const TableEntry> entry, const ContainerRef& container,
+                      std::optional<Timestamp> at) const;
   /// Installs an open WAL + bookkeeping (shared by enable_durability and
   /// recover). Wires the WAL metric handles when instrumentation is on.
   void attach_durability(std::unique_ptr<Durability> durability);

@@ -155,7 +155,10 @@ void install_reads(Router& router, ds::DataStore* store) {
 
   // Scans are served from a FlatSnapshot: the container is copied out under
   // the table's shared lock and the response is produced after the lock is
-  // gone, so a slow scan never blocks ingest writers. Two delivery modes:
+  // gone, so a slow scan never blocks ingest writers. Both delivery modes
+  // walk the snapshot's merge cursor, which yields the per-slot runs in
+  // global (row, column) order, so the bytes do not depend on the shard
+  // count. Two delivery modes:
   // buffered (the whole body materializes up front — bounded by the
   // server's write-buffer limit) and ?stream=1, which walks the snapshot in
   // ~32KB chunked slices as the socket drains, so a container of millions
@@ -197,13 +200,12 @@ void install_reads(Router& router, ds::DataStore* store) {
                Response r;
                r.status = 200;
                r.content_type = content_type;
-               r.stream = [snapshot, ndjson, i = std::size_t{0}](std::string& chunk) mutable {
-                 const auto& entries = snapshot->entries();
-                 while (i < entries.size() && chunk.size() < kScanChunkBytes) {
-                   append_scan_entry(chunk, entries[i], ndjson);
-                   ++i;
+               r.stream = [snapshot, ndjson, it = snapshot->begin()](std::string& chunk) mutable {
+                 const auto end = snapshot->end();
+                 for (; it != end && chunk.size() < kScanChunkBytes; ++it) {
+                   append_scan_entry(chunk, *it, ndjson);
                  }
-                 return i < entries.size();
+                 return it != end;
                };
                return r;
              });

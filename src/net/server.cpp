@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <deque>
 #include <thread>
 #include <unordered_map>
@@ -31,6 +32,14 @@ using Clock = std::chrono::steady_clock;
 /// Iovec fan-out per sendmsg call; a queue deeper than this just takes
 /// another syscall on the next flush round.
 constexpr int kMaxIov = 64;
+
+/// CPU time the calling thread has consumed, in µs.
+std::uint64_t thread_cpu_us() noexcept {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000u +
+         static_cast<std::uint64_t>(ts.tv_nsec) / 1'000u;
+}
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw Error("net: " + what + ": " + std::strerror(errno));
@@ -144,6 +153,7 @@ struct Server::Loop {
   std::atomic<std::uint64_t> bytes_read{0};
   std::atomic<std::uint64_t> bytes_written{0};
   std::atomic<std::uint64_t> peak_write_buffer{0};
+  std::atomic<std::uint64_t> cpu_us{0};  ///< the loop thread's CPU time, sampled
 };
 
 Server::Server(Router router, ServerOptions options)
@@ -290,6 +300,7 @@ void Server::loop_main(Loop& loop) {
   // how a drain() request reaches the loop thread (listener close, idle
   // keep-alive reap).
   loop.loop.run(sweep_tick_ms(), [this, &loop] { sweep_idle(loop); });
+  loop.cpu_us.store(thread_cpu_us(), std::memory_order_relaxed);
 }
 
 void Server::sweep_idle(Loop& loop) {
@@ -303,6 +314,7 @@ void Server::sweep_idle(Loop& loop) {
     if (now - loop.last_sweep < interval) return;
   }
   loop.last_sweep = now;
+  loop.cpu_us.store(thread_cpu_us(), std::memory_order_relaxed);
 
   if (draining) {
     // Stop accepting: close our own listener, or hand back the shared one
@@ -449,6 +461,7 @@ ServerStats Server::stats() const noexcept {
     s.bytes_written += l.bytes_written.load(std::memory_order_relaxed);
     s.peak_write_buffer =
         std::max(s.peak_write_buffer, l.peak_write_buffer.load(std::memory_order_relaxed));
+    s.loop_cpu_us += l.cpu_us.load(std::memory_order_relaxed);
   }
   s.active_connections = s.connections_accepted - s.connections_closed;
   return s;

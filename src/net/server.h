@@ -89,6 +89,10 @@ struct ServerStats {
   /// Largest pending write buffer any single connection ever held — the
   /// bound streaming mode is designed to keep at ~max_write_buffer/2.
   std::uint64_t peak_write_buffer = 0;
+  /// CPU time the loop threads consumed (CLOCK_THREAD_CPUTIME_ID), summed
+  /// over loops. Sampled at each sweep tick and when a loop exits, so it
+  /// is exact after stop().
+  std::uint64_t loop_cpu_us = 0;
 };
 
 /// Asynchronous HTTP/1.1 server over N shared-nothing event loops. Each

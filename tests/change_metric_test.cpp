@@ -201,8 +201,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MetricProperty, ::testing::Values(1, 2, 3, 5, 8,
 
 // --- Flat-snapshot equivalence -------------------------------------------
 // The FlatSnapshot overload of compute_change must produce bit-identical
-// values to the map overload: same element classification, same visit order
-// (so even floating-point summation order matches).
+// values to the map overload on these 1-shard stores: one run per snapshot,
+// so the same element classification and the same visit order (even the
+// floating-point summation order matches). ShardedSnapshot.* covers N > 1
+// shards, where values fold in run order and agree to 1e-12 relative.
 
 class FlatEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -47,9 +47,13 @@ TEST(DataStoreConcurrency, ReadersRunDuringScansAndWrites) {
     while (!stop.load(std::memory_order_relaxed)) {
       const auto snap = store.snapshot_flat(ContainerRef::whole_table("t"));
       EXPECT_EQ(snap.size(), kRows);
-      // Snapshot entries are in (row, column) string order.
-      for (std::size_t i = 1; i < snap.size(); ++i) {
-        EXPECT_LT(*snap.entries()[i - 1].row, *snap.entries()[i].row);
+      // Snapshot iteration is in (row, column) string order.
+      const FlatEntry* last = nullptr;
+      for (const FlatEntry& e : snap) {
+        if (last != nullptr) {
+          EXPECT_LT(*last->row, *e.row);
+        }
+        last = &e;
       }
       scans.fetch_add(1, std::memory_order_relaxed);
     }
@@ -171,10 +175,12 @@ TEST(DataStoreConcurrency, FlatSnapshotSurvivesDropTable) {
   store.clear();
   // The snapshot keeps the source table (and its interned keys) alive.
   ASSERT_EQ(snap.size(), 8u);
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    EXPECT_EQ(*snap.entries()[i].row, row_key(i));
-    EXPECT_EQ(*snap.entries()[i].col, "c");
-    EXPECT_EQ(snap.entries()[i].value, static_cast<double>(i));
+  std::size_t i = 0;
+  for (const FlatEntry& e : snap) {
+    EXPECT_EQ(*e.row, row_key(i));
+    EXPECT_EQ(*e.col, "c");
+    EXPECT_EQ(e.value, static_cast<double>(i));
+    ++i;
   }
 }
 
@@ -239,7 +245,7 @@ TEST(DataStoreConcurrency, SnapshotFlatConsistentUnderConcurrentBatches) {
   for (int iter = 0; iter < 200; ++iter) {
     const auto snap = store.snapshot_flat(ContainerRef::whole_table("t"));
     ASSERT_EQ(snap.size(), kRows);
-    const double first = snap.entries().front().value;
+    const double first = snap.begin()->value;
     for (const auto& e : snap) EXPECT_EQ(e.value, first);
   }
   stop.store(true);

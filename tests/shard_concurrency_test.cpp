@@ -253,10 +253,10 @@ TEST(ShardEquivalence, ScanOrderAndSnapshotMatchUnshardedStore) {
   const FlatSnapshot ss = sharded.snapshot_flat(ContainerRef::whole_table("t"));
   const FlatSnapshot ps = plain.snapshot_flat(ContainerRef::whole_table("t"));
   ASSERT_EQ(ss.size(), ps.size());
-  for (std::size_t i = 0; i < ss.size(); ++i) {
-    EXPECT_EQ(*ss.entries()[i].row, *ps.entries()[i].row);
-    EXPECT_EQ(*ss.entries()[i].col, *ps.entries()[i].col);
-    EXPECT_EQ(ss.entries()[i].value, ps.entries()[i].value);
+  for (auto s_it = ss.begin(), p_it = ps.begin(); s_it != ss.end(); ++s_it, ++p_it) {
+    EXPECT_EQ(*s_it->row, *p_it->row);
+    EXPECT_EQ(*s_it->col, *p_it->col);
+    EXPECT_EQ(s_it->value, p_it->value);
   }
   // Interned keys are stable per shard: a later snapshot of either store
   // holds the very same key pointers, so compute_change's pointer fast path
@@ -265,11 +265,12 @@ TEST(ShardEquivalence, ScanOrderAndSnapshotMatchUnshardedStore) {
   const FlatSnapshot ps2 = plain.snapshot_flat(ContainerRef::whole_table("t"));
   ASSERT_EQ(ss2.size(), ss.size());
   ASSERT_EQ(ps2.size(), ps.size());
-  for (std::size_t i = 0; i < ss.size(); ++i) {
-    EXPECT_EQ(ss2.entries()[i].row, ss.entries()[i].row);
-    EXPECT_EQ(ss2.entries()[i].col, ss.entries()[i].col);
-    EXPECT_EQ(ps2.entries()[i].row, ps.entries()[i].row);
-    EXPECT_EQ(ps2.entries()[i].col, ps.entries()[i].col);
+  for (auto s2 = ss2.begin(), s1 = ss.begin(), p2 = ps2.begin(), p1 = ps.begin();
+       s1 != ss.end(); ++s2, ++s1, ++p2, ++p1) {
+    EXPECT_EQ(s2->row, s1->row);
+    EXPECT_EQ(s2->col, s1->col);
+    EXPECT_EQ(p2->row, p1->row);
+    EXPECT_EQ(p2->col, p1->col);
   }
 }
 
